@@ -363,26 +363,22 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the case's setting, bounded by the shared budget)",
     )
     p_bench.add_argument(
-        "--noc-engine",
-        choices=("auto", "event", "fused", "numba", "reference"),
-        default=None,
-        help="fan-out tier: flit engine for the measured path "
-        "(default auto = numba kernel with interpreted fallback)",
-    )
-    p_bench.add_argument(
         "--repeat",
         type=positive_int,
         default=None,
         metavar="N",
         help="warm repetitions per bench after one cold call "
-        "(default: 5 analytical, 3 cycle)",
+        "(default: 5 analytical, 3 cycle, 10 serve, 2 cluster, "
+        "1 fanout/delta/dse, 40 observe)",
     )
     p_bench.add_argument(
         "--output",
         default=None,
         metavar="PATH",
         help="snapshot destination (default: BENCH_2.json analytical, "
-        "BENCH_3.json cycle, BENCH_4.json serve)",
+        "BENCH_3.json cycle, BENCH_4.json serve, BENCH_6.json cluster, "
+        "BENCH_7.json fanout, BENCH_8.json delta, BENCH_9.json dse, "
+        "BENCH_10.json observe)",
     )
     p_bench.add_argument(
         "--telemetry",
@@ -1105,7 +1101,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         tier=args.tier,
         telemetry=args.telemetry,
         tile_workers=getattr(args, "tile_workers", None),
-        noc_engine=getattr(args, "noc_engine", None),
     )
     print(f"bench: wrote {output} ({snapshot['wall_seconds']:.2f}s wall)")
     for name, bench in snapshot["benches"].items():

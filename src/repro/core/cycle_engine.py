@@ -22,7 +22,6 @@ import numpy as np
 
 from ..arch.noc._reference import ReferenceNoCSimulator
 from ..arch.noc.drain import NoCDeadlockError
-from ..arch.noc.fused import FusedNoCSimulator, NumbaNoCSimulator
 from ..arch.noc.network import NoCSimulator, warm_route_memo
 from ..arch.pe import PE, PEConfig, PEDatapath, datapath_for_op
 from ..config import AcceleratorConfig
@@ -111,23 +110,25 @@ class CycleTileEngine:
     #: stops being the right tool (use the analytical tier).
     MAX_PACKETS = 200_000
 
-    #: Selectable flit simulators: the batched event engine (default),
-    #: the retained original implementation it is property-tested
-    #: against, the fused multi-cycle drain loop, and the scalar-kernel
-    #: engine that numba JITs when installed (falling back to the fused
-    #: loop when it is not).  All four are pinned bit-identical by
+    #: Selectable flit simulators: the batched event engine (default)
+    #: and the retained original implementation it is property-tested
+    #: against.  The two are pinned bit-identical by
     #: ``tests/test_noc_equivalence.py``.
     NOC_ENGINES = {
         "event": NoCSimulator,
         "reference": ReferenceNoCSimulator,
-        "fused": FusedNoCSimulator,
-        "numba": NumbaNoCSimulator,
     }
 
-    #: Engine picked by ``noc_engine="auto"``: the scalar-kernel engine
-    #: compiles when numba is present and falls back to the fused NumPy
-    #: loop otherwise, so "numba" is safe to prefer unconditionally.
-    AUTO_ENGINE = "numba"
+    @classmethod
+    def check_noc_engine(cls, noc_engine: str) -> None:
+        """Raise ``ValueError`` unless ``noc_engine`` names a registered
+        simulator.  Callers that may never build an engine (every tile a
+        cache hit) call this up front."""
+        if noc_engine not in cls.NOC_ENGINES:
+            raise ValueError(
+                f"noc_engine must be one of {sorted(cls.NOC_ENGINES)}, "
+                f"got {noc_engine!r}"
+            )
 
     def __init__(
         self,
@@ -143,12 +144,7 @@ class CycleTileEngine:
             )
         if mapping_policy not in ("degree-aware", "hashing"):
             raise ValueError("mapping_policy must be 'degree-aware' or 'hashing'")
-        if noc_engine == "auto":
-            noc_engine = self.AUTO_ENGINE
-        if noc_engine not in self.NOC_ENGINES:
-            raise ValueError(
-                f"noc_engine must be one of {sorted(self.NOC_ENGINES)} or 'auto'"
-            )
+        self.check_noc_engine(noc_engine)
         self.config = config
         self.mapping_policy = mapping_policy
         self.noc_engine = noc_engine

@@ -14,8 +14,9 @@ Two invariants the property tests pin:
 * **Deterministic order** — results come back in tile order regardless
   of worker count or shard layout.
 * **Bit identity** — the aggregate result is identical under serial,
-  sharded, and any NoC engine choice, because every engine is pinned
-  bit-identical and per-tile work is a pure function of the tile.
+  sharded, and either NoC engine, because the event engine is pinned
+  bit-identical to the reference and per-tile work is a pure function
+  of the tile.
 
 Worker processes receive the parent's NoC route memo
 (:func:`repro.arch.noc.network.export_route_memo`) so identical
@@ -113,11 +114,12 @@ def _tile_keys(
 ) -> list[str]:
     """Per-tile content-addressed cache sub-keys.
 
-    The NoC engine is deliberately absent: engines are property-tested
-    bit-identical, so a tile computed under ``fused`` is a valid cache
-    hit for a later ``numba`` run of the same workload.  The partition
-    signature *is* present: a tile cached under one tiling configuration
-    must never satisfy a probe from another.
+    The NoC engine is deliberately absent: the event engine is
+    property-tested bit-identical to the reference, so a tile computed
+    under ``event`` is a valid cache hit for a later ``reference`` run
+    of the same workload.  The partition signature *is* present: a tile
+    cached under one tiling configuration must never satisfy a probe
+    from another.
     """
     from ..runtime.shards import tile_sub_key
 
@@ -163,6 +165,8 @@ def run_cycle_layer(
     """
     from ..runtime.shards import run_tile_shards
 
+    # Up front: with a warm cache no engine is ever built to reject it.
+    CycleTileEngine.check_noc_engine(noc_engine)
     if isinstance(tiles, TilingPlan):
         subs = [tile.subgraph for tile in tiles]
         if partition_signature is None:

@@ -62,6 +62,9 @@ class CalibrationJob:
             raise ValueError("array_k must be in [2, 16] for the cycle tier")
         if self.num_vertices < 1 or self.num_edges < 0:
             raise ValueError("graph must have >= 1 vertex and >= 0 edges")
+        from ..core.cycle_engine import CycleTileEngine
+
+        CycleTileEngine.check_noc_engine(self.noc_engine)
 
     def as_dict(self) -> dict:
         """Canonical JSON-encodable form (basis of :attr:`key`)."""

@@ -294,7 +294,7 @@ class FanoutBenchCase:
 
     The single-request latency story of the tile fan-out work: the same
     job is timed cold through the retained reference engine (serial),
-    the event engine (serial), and the fused engine with tile sharding —
+    the event engine (serial), and the event engine with tile sharding —
     all three paths must produce identical per-tile results.
     """
 
@@ -305,7 +305,6 @@ class FanoutBenchCase:
     array_k: int = 16
     hidden: int = 16
     tile_workers: int = 4
-    noc_engine: str = "auto"
     #: Tiling capacity; None = the full distributed-buffer capacity.
     tile_capacity_bytes: int | None = None
 
@@ -319,9 +318,9 @@ class FanoutBenchCase:
 #: The fan-out bench: pubmed tiled to half the distributed-buffer
 #: capacity (region B's banks stage features/weights for the resident
 #: tile while the next one loads) — three dense independent tiles,
-#: exactly the shape intra-job parallelism and the fused engines were
-#: built for.  Tiles are kept heavy on purpose: the engines' advantage
-#: over the reference grows with per-tile traffic, and calibration
+#: exactly the shape intra-job parallelism was built for.  Tiles are
+#: kept heavy on purpose: the event engine's advantage over the
+#: reference grows with per-tile traffic, and calibration
 #: sweeps are made of tiles like these.
 FANOUT_BENCHES: tuple[FanoutBenchCase, ...] = (
     FanoutBenchCase(
@@ -358,9 +357,7 @@ def _run_fanout_case(case: FanoutBenchCase, repeat: int) -> dict:
 
     reference, reference_s = timed(noc_engine="reference")
     serial, serial_s = timed(noc_engine="event")
-    fanout, fanout_s = timed(
-        noc_engine=case.noc_engine, tile_workers=case.tile_workers
-    )
+    fanout, fanout_s = timed(tile_workers=case.tile_workers)
     base = [_tile_fields(t) for t in reference.tiles]
     for name, layer in (("serial", serial), ("fanout", fanout)):
         if [_tile_fields(t) for t in layer.tiles] != base:  # pragma: no cover
@@ -373,8 +370,7 @@ def _run_fanout_case(case: FanoutBenchCase, repeat: int) -> dict:
     for _ in range(max(1, repeat)):
         t0 = time.perf_counter()
         again = run_cycle_layer(
-            model, plan, dims, config=cfg,
-            noc_engine=case.noc_engine, tile_workers=case.tile_workers,
+            model, plan, dims, config=cfg, tile_workers=case.tile_workers
         )
         warm.append(time.perf_counter() - t0)
         if [_tile_fields(t) for t in again.tiles] != base:  # pragma: no cover
@@ -396,7 +392,7 @@ def _run_fanout_case(case: FanoutBenchCase, repeat: int) -> dict:
         "tile_workers": case.tile_workers,
         "effective_workers": fanout.fanout.get("workers", 1),
         "shards": fanout.fanout.get("shards", 1),
-        "noc_engine": case.noc_engine,
+        "noc_engine": fanout.noc_engine,
         "noc_cycles": fanout.total_cycles,
         "packets": fanout.packets,
         "flits": fanout.flits,
@@ -406,7 +402,7 @@ def _run_fanout_case(case: FanoutBenchCase, repeat: int) -> dict:
         "warm_seconds": warm,
         "warm_mean_seconds": sum(warm) / len(warm),
         "warm_min_seconds": warm_min,
-        # The headline number: cold single-request latency of the fused
+        # The headline number: cold single-request latency of the event
         # + sharded path against the retained reference simulator.
         "speedup_vs_reference": reference_s / fanout_s,
         "speedup_vs_serial_event": serial_s / fanout_s,
@@ -421,25 +417,21 @@ def run_fanout_benches(
     repeat: int = 1,
     telemetry: bool = True,
     tile_workers: int | None = None,
-    noc_engine: str | None = None,
 ) -> dict:
     """Run the intra-job fan-out benches (BENCH_7-style).
 
-    ``tile_workers`` / ``noc_engine`` override the case defaults — the
-    CLI's ``--tile-workers`` / ``--noc-engine`` knobs land here.
+    ``tile_workers`` overrides the case default — the CLI's
+    ``--tile-workers`` knob lands here.
     """
     from dataclasses import replace
 
     from ..telemetry import TRACER
     from .instrumentation import PERF
 
-    overrides = {}
     if tile_workers is not None:
-        overrides["tile_workers"] = tile_workers
-    if noc_engine is not None:
-        overrides["noc_engine"] = noc_engine
-    if overrides:
-        benches = tuple(replace(case, **overrides) for case in benches)
+        benches = tuple(
+            replace(case, tile_workers=tile_workers) for case in benches
+        )
 
     PERF.reset()
     with TRACER.session(enabled=telemetry, sample_rate=1.0):
@@ -1333,7 +1325,6 @@ def write_bench_json(
     tier: str = "analytical",
     telemetry: bool = True,
     tile_workers: int | None = None,
-    noc_engine: str | None = None,
 ) -> dict:
     """Run one tier's benches and write the snapshot to ``path``.
 
@@ -1347,7 +1338,7 @@ def write_bench_json(
     the snapshot.  With
     ``telemetry`` the benches run traced and the snapshot carries a
     ``telemetry`` section (span count, top stages by cumulative time).
-    ``tile_workers`` / ``noc_engine`` apply to the fan-out tier only.
+    ``tile_workers`` applies to the fan-out tier only.
     """
     if tier == "analytical":
         snapshot = run_benches(
@@ -1375,7 +1366,6 @@ def write_bench_json(
             repeat=repeat if repeat is not None else 1,
             telemetry=telemetry,
             tile_workers=tile_workers,
-            noc_engine=noc_engine,
         )
     elif tier == "delta":
         snapshot = run_delta_benches(

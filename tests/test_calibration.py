@@ -40,6 +40,11 @@ class TestCalibrationJob:
         with pytest.raises(ValueError, match="array_k"):
             CalibrationJob(array_k=32)
 
+    @pytest.mark.parametrize("name", ["warp-drive", "fused", "numba", "auto"])
+    def test_unknown_engine_rejected(self, name):
+        with pytest.raises(ValueError, match="noc_engine"):
+            CalibrationJob(noc_engine=name)
+
 
 class TestRunCalibrationJob:
     def test_payload_shape(self, small_job):

@@ -92,16 +92,18 @@ class TestParser:
 
     def test_bench_fanout_tier_knobs(self):
         args = build_parser().parse_args(
-            ["bench", "--tier", "fanout", "--tile-workers", "4",
-             "--noc-engine", "numba"]
+            ["bench", "--tier", "fanout", "--tile-workers", "4"]
         )
         assert args.tier == "fanout"
         assert args.tile_workers == 4
-        assert args.noc_engine == "numba"
         # Defaults: the case's own settings apply.
         args = build_parser().parse_args(["bench", "--tier", "fanout"])
         assert args.tile_workers is None
-        assert args.noc_engine is None
+        # The flit engine is no longer a bench knob.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["bench", "--tier", "fanout", "--noc-engine", "event"]
+            )
 
     def test_simulate_tile_workers(self):
         args = build_parser().parse_args(

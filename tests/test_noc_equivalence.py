@@ -18,26 +18,12 @@ from repro.arch.noc._reference import (
     ReferenceNoCSimulator,
     ReferenceVCNetworkSimulator,
 )
-from repro.arch.noc.fused import FusedNoCSimulator, NumbaNoCSimulator
 from repro.arch.noc.topology import FlexibleMeshTopology, RingConfig
 from repro.arch.noc.vc_router import VCNetworkSimulator
 from repro.config import NoCConfig
 
-
-def _kernel_engine(topo, cfg=None):
-    """NumbaNoCSimulator pinned to the scalar kernel: exercises the exact
-    loop numba compiles, interpreted, so the pin holds without numba."""
-    sim = NumbaNoCSimulator(topo, cfg)
-    sim.use_kernel = True
-    return sim
-
-
-#: Every rebuilt flit engine, each pinned bit-identical to the reference.
-ENGINES = [
-    pytest.param(NoCSimulator, id="event"),
-    pytest.param(FusedNoCSimulator, id="fused"),
-    pytest.param(_kernel_engine, id="kernel"),
-]
+#: The production flit engine, pinned bit-identical to the reference.
+ENGINES = [pytest.param(NoCSimulator, id="event")]
 
 
 def _random_topology(rng: random.Random) -> FlexibleMeshTopology:

@@ -3,7 +3,7 @@
 Pins the contract the tentpole rests on: shard planning is deterministic
 and order-preserving, the fan-out driver returns per-tile results in
 tile order with bit-identical aggregates under serial / sharded / cached
-execution (analytical and cycle tiers, every NoC engine), a mid-shard
+execution (analytical and cycle tiers, both NoC engines), a mid-shard
 worker crash degrades to serial recovery without changing a single bit,
 and the shared worker budget stops serve's pool and tile fan-out from
 oversubscribing the machine together.
@@ -194,6 +194,10 @@ class TestAnalyticalFanoutIdentity:
         assert json.dumps(warm.to_dict(), sort_keys=True) == ref
 
 
+#: Engine names that are not registered: a typo and the removed engines.
+UNKNOWN_ENGINES = ["warp-drive", "fused", "numba", "auto"]
+
+
 class TestCycleLayerIdentity:
     """run_cycle_layer: serial vs sharded vs engines, all bit-identical."""
 
@@ -213,14 +217,11 @@ class TestCycleLayerIdentity:
         sharded = run_cycle_layer(
             model, plan, dims, config=cfg, tile_workers=4
         )
-        fused = run_cycle_layer(
-            model, plan, dims, config=cfg, noc_engine="fused"
-        )
-        numba = run_cycle_layer(
-            model, plan, dims, config=cfg, noc_engine="numba", tile_workers=4
+        reference = run_cycle_layer(
+            model, plan, dims, config=cfg, noc_engine="reference"
         )
         base = [t.to_payload() for t in serial.tiles]
-        for other in (sharded, fused, numba):
+        for other in (sharded, reference):
             assert [t.to_payload() for t in other.tiles] == base
 
     def test_engine_agnostic_cache_keys(self, tmp_path, monkeypatch):
@@ -231,12 +232,31 @@ class TestCycleLayerIdentity:
             model, plan, dims, config=cfg, cache=cache, noc_engine="event"
         )
         second = run_cycle_layer(
-            model, plan, dims, config=cfg, cache=cache, noc_engine="fused"
+            model, plan, dims, config=cfg, cache=cache, noc_engine="reference"
         )
         assert second.fanout["cache_hits"] == plan.num_tiles
         assert [t.to_payload() for t in second.tiles] == [
             t.to_payload() for t in first.tiles
         ]
+
+    @pytest.mark.parametrize("name", UNKNOWN_ENGINES)
+    def test_unknown_engine_rejected(self, name):
+        model, plan, dims, cfg = self._setup()
+        with pytest.raises(ValueError, match="noc_engine"):
+            run_cycle_layer(model, plan, dims, config=cfg, noc_engine=name)
+
+    def test_unknown_engine_rejected_on_warm_cache(self, tmp_path):
+        """Every tile a cache hit builds no engine; the name is still
+        checked rather than stamped onto the result."""
+        model, plan, dims, cfg = self._setup()
+        cache = ResultCache(tmp_path)
+        run_cycle_layer(model, plan, dims, config=cfg, cache=cache)
+        for name in UNKNOWN_ENGINES:
+            with pytest.raises(ValueError, match="noc_engine"):
+                run_cycle_layer(
+                    model, plan, dims, config=cfg, cache=cache,
+                    noc_engine=name,
+                )
 
 
 class TestWorkerBudget:
