@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Explore the flexible NoC at its three fidelities.
+"""Explore the flexible NoC at its two fidelities.
 
 Walks one traffic scenario — a high-degree vertex's neighborhood
-converging on its PE — through the analytical counting model, the lumped
-flit simulator, and the detailed VC-router simulator, with and without
-the bypass configuration the degree-aware mapper would install.  Also
-runs the deadlock checker on each configuration and a tree-multicast
-broadcast for contrast.
+converging on its PE — through the analytical counting model and the
+lumped flit simulator, with and without the bypass configuration the
+degree-aware mapper would install.  Also runs the deadlock checker on
+each configuration and a tree-multicast broadcast for contrast.
 
 Run:  python examples/noc_playground.py
 """
@@ -20,7 +19,6 @@ from repro.arch.noc import (
     MulticastSimulator,
     NoCSimulator,
     TrafficMatrix,
-    VCNetworkSimulator,
     check_deadlock_freedom,
 )
 from repro.eval import format_table
@@ -60,11 +58,6 @@ def main() -> None:
         for src, dst, nbytes in flows.tolist():
             lumped.inject(src, dst, nbytes)
         t_lumped = lumped.run().cycles
-        # Tier 3: detailed VC-router simulator.
-        detailed = VCNetworkSimulator(topo)
-        for src, dst, nbytes in flows.tolist():
-            detailed.inject(src, dst, nbytes)
-        t_detailed = detailed.run()
         # Safety: channel-dependency analysis of the configuration.
         report = check_deadlock_freedom(topo)
         rows.append(
@@ -72,22 +65,21 @@ def main() -> None:
                 label,
                 f"{analytical.drain_cycles:,}",
                 f"{t_lumped:,}",
-                f"{t_detailed:,}",
                 "acyclic" if report.acyclic else "ring-safe",
             ]
         )
     print(
         format_table(
-            ["configuration", "analytical", "lumped flit", "VC router", "CDG"],
+            ["configuration", "analytical", "lumped flit", "CDG"],
             rows,
             title=f"Hub convergence at node {HUB} (63 senders, 4 flits each)",
         )
     )
     print(
-        "\nnote: the three tiers agree on the plain mesh; with the bypass "
+        "\nnote: the two tiers agree on the plain mesh; with the bypass "
         "the analytical model credits the S_PE's extra ejection bandwidth "
         "(local port + bypass endpoints + row-mate merging), which the "
-        "single-local-port flit simulators deliberately do not model — "
+        "single-local-port flit simulator deliberately does not model — "
         "the fidelity gap experiment E14 quantifies."
     )
 

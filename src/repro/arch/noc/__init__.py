@@ -14,7 +14,6 @@ from .packet import Flit, Packet
 from .router import INJECT_PORT, Router, RouterPort
 from .routing import bypass_route, compute_route, ring_route, segment_usable, xy_route
 from .topology import BypassSegment, FlexibleMeshTopology, RingConfig
-from .vc_router import PortDir, VCNetworkSimulator, VCRouter, VirtualChannel
 
 __all__ = [
     "FlexibleMeshTopology",
@@ -36,10 +35,6 @@ __all__ = [
     "AnalyticalNoCModel",
     "AnalyticalNoCResult",
     "ceil_flits",
-    "PortDir",
-    "VCRouter",
-    "VirtualChannel",
-    "VCNetworkSimulator",
     "DeadlockReport",
     "check_deadlock_freedom",
     "build_channel_dependency_graph",

@@ -1,22 +1,18 @@
-"""Reference (pre-event-engine) cycle-tier simulators.
+"""Reference (pre-event-engine) flit-level simulator.
 
-These are the original per-cycle object-graph implementations of
-:class:`NoCSimulator` and :class:`VCNetworkSimulator`, kept verbatim as
-the behavioural spec for the event-driven engines in
-:mod:`repro.arch.noc.network` and the fast-forwarding run loop in
-:mod:`repro.arch.noc.vc_router`.  ``tests/test_noc_equivalence.py``
-property-tests the production engines against these across random
-topologies, bypass configurations and traffic patterns — the same
-pinning strategy ``tests/test_mapping_equivalence.py`` uses for the
-mapping hot path.
+:class:`ReferenceNoCSimulator` is the original per-cycle object-graph
+implementation of :class:`~repro.arch.noc.network.NoCSimulator`, kept
+verbatim as the behavioural spec for the event-driven engine.
+``tests/test_noc_equivalence.py`` property-tests the production engine
+against it across random topologies, bypass/ring configurations and
+traffic patterns — the same pinning strategy
+``tests/test_mapping_equivalence.py`` uses for the mapping hot path.
 
 Do not optimise this module: its value is being the slow, obviously
 faithful implementation.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ...config import NoCConfig
 from .packet import Flit, Packet
@@ -25,7 +21,7 @@ from .routing import compute_route
 from .stats import NoCStats
 from .topology import FlexibleMeshTopology
 
-__all__ = ["ReferenceNoCSimulator", "ReferenceVCNetworkSimulator"]
+__all__ = ["ReferenceNoCSimulator"]
 
 
 class ReferenceNoCSimulator:
@@ -184,200 +180,3 @@ class ReferenceNoCSimulator:
     def undelivered(self) -> int:
         return sum(1 for v in self._tails_remaining.values() if v > 0)
 
-
-class ReferenceVCNetworkSimulator:
-    """Mesh of :class:`VCRouter` nodes with full pipeline semantics
-    (original run loop: spins :meth:`step` over every idle cycle)."""
-
-    def __init__(
-        self, topology: FlexibleMeshTopology, config: NoCConfig | None = None
-    ) -> None:
-        from .vc_router import VCRouter
-
-        self.topology = topology
-        self.config = config or NoCConfig()
-        self.routers = [
-            VCRouter(n, self.config) for n in range(topology.num_nodes)
-        ]
-        self.cycle = 0
-        self._next_pid = 0
-        self._pending_tails: dict[int, int] = {}
-        self.delivered: list[Packet] = []
-        self._in_flight: list[tuple] = []
-        # (arrival_cycle, router, port, vc, flit)
-        self._inject_queues: dict[int, deque] = {}
-        self._credit_returns: list[tuple] = []
-
-    # ------------------------------------------------------------------
-    def _direction(self, here: int, there: int):
-        from .vc_router import PortDir
-
-        hx, hy = self.topology.coords(here)
-        tx, ty = self.topology.coords(there)
-        if ty == hy:
-            if tx == hx + 1:
-                return PortDir.EAST
-            if tx == hx - 1:
-                return PortDir.WEST
-        if tx == hx:
-            if ty == hy + 1:
-                return PortDir.SOUTH
-            if ty == hy - 1:
-                return PortDir.NORTH
-        return PortDir.BYPASS  # non-adjacent: a configured express segment
-
-    def _next_hop(self, node: int, flit: Flit):
-        from .vc_router import PortDir
-
-        if flit.at_destination:
-            return PortDir.LOCAL
-        nxt = flit.packet.route[flit.hop + 1]
-        return self._direction(node, nxt)
-
-    # ------------------------------------------------------------------
-    def inject(self, src: int, dst: int, size_bytes: int) -> Packet:
-        route = compute_route(self.topology, src, dst)
-        packet = Packet(
-            pid=self._next_pid,
-            src=src,
-            dst=dst,
-            size_bytes=size_bytes,
-            inject_cycle=self.cycle,
-            route=route,
-        )
-        self._next_pid += 1
-        packet.num_flits = max(1, -(-size_bytes // self.config.flit_bytes))
-        self._pending_tails[packet.pid] = packet.num_flits
-        queue = self._inject_queues.setdefault(src, deque())
-        for i in range(packet.num_flits):
-            queue.append(Flit(packet=packet, index=i, hop=0, ready_cycle=self.cycle))
-        return packet
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        from .vc_router import PortDir
-
-        now = self.cycle
-
-        # Deliver in-flight flits whose link latency elapsed.
-        still: list = []
-        for arrival, node, port, vc_index, flit in self._in_flight:
-            if arrival > now:
-                still.append((arrival, node, port, vc_index, flit))
-                continue
-            if not self.routers[node].accept_flit(port, vc_index, flit):
-                # Should not happen under credits; retry next cycle.
-                still.append((arrival + 1, node, port, vc_index, flit))
-        self._in_flight = still
-
-        # Source injection: move flits into LOCAL input VCs.
-        for node, queue in self._inject_queues.items():
-            router = self.routers[node]
-            while queue:
-                flit = queue[0]
-                if flit.is_head:
-                    vc_index = router.free_input_vc(PortDir.LOCAL)
-                    if vc_index is None:
-                        break
-                    queue.popleft()
-                    router.accept_flit(PortDir.LOCAL, vc_index, flit)
-                    flit.packet.notes_vc = vc_index
-                else:
-                    vc_index = getattr(flit.packet, "notes_vc", None)
-                    if vc_index is None:
-                        break
-                    vc = router.vcs[PortDir.LOCAL][vc_index]
-                    if not vc.has_space:
-                        break
-                    queue.popleft()
-                    router.accept_flit(PortDir.LOCAL, vc_index, flit)
-                    continue  # body flits stream at one per cycle... per VC
-                break  # at most one new head per cycle per source
-
-        # Router pipelines.
-        for router in self.routers:
-            router.stage_rc(lambda node, f: self._next_hop(node, f))
-            router.stage_va()
-            winners = router.stage_sa()
-            for port, vc_index in winners:
-                flit, out_port, out_vc, turn_lat = router.pop_winner(port, vc_index)
-                if out_port is PortDir.LOCAL:
-                    self._eject(flit, now)
-                    router.return_credit(out_port, out_vc)
-                    continue
-                nxt = flit.packet.route[flit.hop + 1]
-                flit.hop += 1
-                link_lat = (
-                    self.config.bypass_segment_latency
-                    if out_port is PortDir.BYPASS
-                    else self.config.link_latency
-                )
-                in_port = self._reverse_port(out_port, router.node_id, nxt)
-                self._in_flight.append(
-                    (now + 1 + link_lat + turn_lat, nxt, in_port, out_vc, flit)
-                )
-                # Credit returns when the downstream VC drains; simplified:
-                # return after the flit is delivered plus one cycle.
-                self._credit_returns.append(
-                    (now + 2 + link_lat + turn_lat, router.node_id, out_port, out_vc)
-                )
-
-        # Credit return processing.
-        remaining = []
-        for when, node, port, vc_index in self._credit_returns:
-            if when <= now:
-                self.routers[node].return_credit(port, vc_index)
-            else:
-                remaining.append((when, node, port, vc_index))
-        self._credit_returns = remaining
-
-        self.cycle += 1
-
-    def _reverse_port(self, out_port, here: int, there: int):
-        """Input port on the downstream router fed by ``out_port``."""
-        from .vc_router import PortDir
-
-        opposite = {
-            PortDir.EAST: PortDir.WEST,
-            PortDir.WEST: PortDir.EAST,
-            PortDir.NORTH: PortDir.SOUTH,
-            PortDir.SOUTH: PortDir.NORTH,
-            PortDir.BYPASS: PortDir.BYPASS,
-        }
-        return opposite.get(out_port, PortDir.LOCAL)
-
-    def _eject(self, flit: Flit, now: int) -> None:
-        pid = flit.packet.pid
-        self._pending_tails[pid] -= 1
-        if self._pending_tails[pid] == 0:
-            flit.packet.done_cycle = now + 1
-            self.delivered.append(flit.packet)
-
-    # ------------------------------------------------------------------
-    def all_delivered(self) -> bool:
-        return all(v == 0 for v in self._pending_tails.values())
-
-    def run(self, *, max_cycles: int = 500_000) -> int:
-        """Run to drain; returns the cycle count."""
-        while not self.all_delivered():
-            if self.cycle >= max_cycles:
-                raise RuntimeError(
-                    f"VC network did not drain within {max_cycles} cycles"
-                )
-            self.step()
-        return self.cycle
-
-    # ------------------------------------------------------------------
-    @property
-    def total_va_stalls(self) -> int:
-        return sum(r.va_stalls for r in self.routers)
-
-    @property
-    def total_sa_conflicts(self) -> int:
-        return sum(r.sa_conflicts for r in self.routers)
-
-    @property
-    def avg_latency(self) -> float:
-        if not self.delivered:
-            return 0.0
-        return sum(p.latency for p in self.delivered) / len(self.delivered)

@@ -1,15 +1,7 @@
-"""Shared drain tracking and structured deadlock reporting.
+"""Structured deadlock reporting for the flit-level simulator.
 
-Both flit-level simulators (:class:`~repro.arch.noc.network.NoCSimulator`
-and :class:`~repro.arch.noc.vc_router.VCNetworkSimulator`) historically
-answered "has every packet drained?" by rescanning a ``pid → remaining
-flits`` dict every cycle — an O(packets) cost on the innermost loop.
-:class:`DrainTracker` keeps the same dict for reporting but maintains two
-counters alongside it, so the per-cycle check is O(1), and both
-simulators share one implementation of the bookkeeping.
-
-When a run fails to drain, the simulators raise
-:class:`NoCDeadlockError` instead of a bare ``RuntimeError`` — the
+When a run fails to drain, :class:`~repro.arch.noc.network.NoCSimulator`
+raises :class:`NoCDeadlockError` instead of a bare ``RuntimeError`` — the
 message keeps the historical "did not drain" phrasing, but the exception
 also carries the cycle, the outstanding packet count, and the per-router
 queue depths at the point of failure, which is what you need to tell a
@@ -19,7 +11,7 @@ from an undersized ``max_cycles``.
 
 from __future__ import annotations
 
-__all__ = ["NoCDeadlockError", "DrainTracker"]
+__all__ = ["NoCDeadlockError"]
 
 
 class NoCDeadlockError(RuntimeError):
@@ -66,52 +58,3 @@ class NoCDeadlockError(RuntimeError):
         )
         return err
 
-
-class DrainTracker:
-    """O(1) drain accounting shared by the flit-level simulators.
-
-    Mix in (or embed) and call :meth:`_drain_register` at injection and
-    :meth:`_drain_eject` per ejected flit.  ``_tails_remaining`` keeps the
-    historical per-packet map for debugging/reporting; the hot-path
-    queries read the two counters only.
-    """
-
-    def _drain_init(self) -> None:
-        self._tails_remaining: dict[int, int] = {}  # pid -> flits not ejected
-        self._outstanding_flits = 0
-        self._outstanding_packets = 0
-
-    def _drain_register(self, pid: int, num_flits: int) -> None:
-        self._tails_remaining[pid] = num_flits
-        self._outstanding_flits += num_flits
-        self._outstanding_packets += 1
-
-    def _drain_eject(self, pid: int) -> bool:
-        """Account one ejected flit; True when the packet completed."""
-        remaining = self._tails_remaining[pid] - 1
-        self._tails_remaining[pid] = remaining
-        self._outstanding_flits -= 1
-        if remaining == 0:
-            self._outstanding_packets -= 1
-            return True
-        return False
-
-    # -- O(1) replacements for the historical dict scans ----------------
-    def all_delivered(self) -> bool:
-        return self._outstanding_flits == 0
-
-    def undelivered(self) -> int:
-        return self._outstanding_packets
-
-    # -- structured failure ---------------------------------------------
-    def _deadlock(self, message: str, *, cycle: int) -> NoCDeadlockError:
-        return NoCDeadlockError(
-            message,
-            cycle=cycle,
-            outstanding_packets=self._outstanding_packets,
-            queue_depths=self._queue_depths(),
-        )
-
-    def _queue_depths(self) -> dict[int, int]:  # pragma: no cover - abstract
-        """Per-router resident flit counts; overridden by each simulator."""
-        return {}

@@ -24,8 +24,8 @@ What changed versus the reference is purely *how* each cycle is computed:
   cycle at which any head flit becomes ready instead of spinning
   :meth:`step` through idle cycles (interleaved-injection workloads such
   as the latency-load sweeps spend most cycles idle).
-* **O(1) drain tracking** — the shared :class:`~repro.arch.noc.drain.DrainTracker`
-  counter replaces the per-cycle dict scan in ``all_delivered``.
+* **O(1) drain tracking** — outstanding flit and packet counters replace
+  the reference's per-cycle dict scan in ``all_delivered``.
 
 The per-cycle ordering rules inherited from the reference, for the
 record: round-robin state is untouched by single-contender grants but is
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...config import NoCConfig
-from .drain import DrainTracker, NoCDeadlockError
+from .drain import NoCDeadlockError
 from .packet import Packet
 from .routing import compute_route
 from .stats import NoCStats
@@ -139,7 +139,7 @@ def memo_route(
     return route
 
 
-class NoCSimulator(DrainTracker):
+class NoCSimulator:
     """Flit-level network simulator over a flexible mesh (event engine)."""
 
     def __init__(
@@ -152,7 +152,10 @@ class NoCSimulator(DrainTracker):
         self.cycle = 0
         self.stats = NoCStats()
         self._next_pid = 0
-        self._drain_init()
+        # Flits and packets injected but not yet ejected: the O(1)
+        # answers to all_delivered()/undelivered().
+        self._outstanding_flits = 0
+        self._outstanding_packets = 0
 
         n = topology.num_nodes
         self._n = n
@@ -190,8 +193,7 @@ class NoCSimulator(DrainTracker):
         self._idle = False
 
         # Per-packet remaining-flit tails as an array so ejections batch;
-        # positions mirror pid.  DrainTracker's counters stay authoritative
-        # for all_delivered()/undelivered().
+        # positions mirror pid.
         self._pkt_tails = np.empty(256, dtype=np.int64)
 
         # ---- flit SoA -------------------------------------------------
@@ -350,7 +352,8 @@ class NoCSimulator(DrainTracker):
         self._next_pid += 1
         nf = max(1, -(-size_bytes // self.config.flit_bytes))
         packet.num_flits = nf
-        self._drain_register(packet.pid, nf)
+        self._outstanding_flits += nf
+        self._outstanding_packets += 1
         if packet.pid == self._pkt_tails.size:
             grown = np.empty(2 * self._pkt_tails.size, dtype=np.int64)
             grown[: packet.pid] = self._pkt_tails[: packet.pid]
@@ -607,7 +610,14 @@ class NoCSimulator(DrainTracker):
                     self.stats.cycles = self.cycle
         return self.stats
 
+    def all_delivered(self) -> bool:
+        return self._outstanding_flits == 0
+
+    def undelivered(self) -> int:
+        return self._outstanding_packets
+
     def _queue_depths(self) -> dict[int, int]:
+        """Per-router resident flit counts (non-empty routers only)."""
         P = self._np_ports
         depths = np.bincount(
             self._p_router[:P], weights=self._p_count[:P], minlength=self._n
@@ -615,10 +625,9 @@ class NoCSimulator(DrainTracker):
         return {int(r): int(d) for r, d in enumerate(depths) if d > 0}
 
     def _deadlock(self, message: str, *, cycle: int) -> NoCDeadlockError:
-        # `_pkt_tails` is authoritative on the hot path; re-sync the
-        # DrainTracker dict so failure reports show live values.
-        npkt = len(self._packets)
-        self._tails_remaining = dict(
-            enumerate(self._pkt_tails[:npkt].tolist())
+        return NoCDeadlockError(
+            message,
+            cycle=cycle,
+            outstanding_packets=self._outstanding_packets,
+            queue_depths=self._queue_depths(),
         )
-        return super()._deadlock(message, cycle=cycle)

@@ -33,6 +33,10 @@ class NoCConfig:
             raise ValueError("VC parameters must be >= 1")
         if self.router_pipeline_stages < 1:
             raise ValueError("router pipeline must have >= 1 stage")
+        if self.link_latency < 1 or self.bypass_segment_latency < 1:
+            raise ValueError("link and bypass segment latencies must be >= 1")
+        if self.bypass_links_per_row < 0 or self.bypass_links_per_col < 0:
+            raise ValueError("bypass link counts must be >= 0")
 
 
 @dataclass(frozen=True)

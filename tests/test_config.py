@@ -57,6 +57,15 @@ class TestValidation:
             NoCConfig(flit_bytes=0)
         with pytest.raises(ValueError):
             NoCConfig(vc_depth=0)
+        with pytest.raises(ValueError):
+            NoCConfig(link_latency=0)
+        with pytest.raises(ValueError):
+            NoCConfig(bypass_segment_latency=0)
+        with pytest.raises(ValueError):
+            NoCConfig(bypass_links_per_row=-1)
+        with pytest.raises(ValueError):
+            NoCConfig(bypass_links_per_col=-1)
+        NoCConfig(bypass_links_per_row=0, bypass_links_per_col=0)
 
     def test_dram_validation(self):
         with pytest.raises(ValueError):

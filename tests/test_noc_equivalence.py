@@ -1,12 +1,12 @@
-"""Property tests: the event-driven NoC engines are bit-identical to the
-retained reference simulators, and failed drains raise the structured
+"""Property tests: the event-driven NoC engine is bit-identical to the
+retained reference simulator, and failed drains raise the structured
 :class:`NoCDeadlockError`.
 
-The references (``repro.arch.noc._reference``) are verbatim copies of the
-original per-cycle object-graph simulators; the rebuilt engines in
-``network.py``/``vc_router.py`` must reproduce their cycle counts and
-stats exactly across random topologies, bypass/ring configurations, VC
-shapes, packet sizes, and interleaved inject/step traffic.
+The reference (``repro.arch.noc._reference``) is a verbatim copy of the
+original per-cycle object-graph simulator; the rebuilt engine in
+``network.py`` must reproduce its cycle counts and stats exactly across
+random topologies, bypass/ring configurations, VC shapes, packet sizes,
+and interleaved inject/step traffic.
 """
 
 import random
@@ -14,12 +14,8 @@ import random
 import pytest
 
 from repro.arch.noc import NoCDeadlockError, NoCSimulator
-from repro.arch.noc._reference import (
-    ReferenceNoCSimulator,
-    ReferenceVCNetworkSimulator,
-)
+from repro.arch.noc._reference import ReferenceNoCSimulator
 from repro.arch.noc.topology import FlexibleMeshTopology, RingConfig
-from repro.arch.noc.vc_router import VCNetworkSimulator
 from repro.config import NoCConfig
 
 #: The production flit engine, pinned bit-identical to the reference.
@@ -104,49 +100,6 @@ class TestEventEngineEquivalence:
         assert event.run() == reference.run()
 
 
-class TestVCEngineEquivalence:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_cycles_and_stats_identical(self, seed):
-        rng = random.Random(1000 + seed)
-        k = rng.choice([3, 4])
-        topo = FlexibleMeshTopology(k)
-        cfg = NoCConfig(
-            vcs_per_port=rng.choice([1, 2, 4]),
-            vc_depth=rng.choice([2, 4]),
-            bypass_segment_latency=rng.choice([1, 3, 6]),
-        )
-        event = VCNetworkSimulator(topo, cfg)
-        reference = ReferenceVCNetworkSimulator(topo, cfg)
-        for _ in range(rng.randint(1, 25)):
-            src, dst = rng.randrange(k * k), rng.randrange(k * k)
-            if src == dst:
-                continue
-            size = rng.choice([4, 16, 64, 200])
-            event.inject(src, dst, size)
-            reference.inject(src, dst, size)
-            for _ in range(rng.randint(0, 8)):
-                event.step()
-                reference.step()
-        assert event.run(max_cycles=50_000) == reference.run(max_cycles=50_000)
-        assert event.total_va_stalls == reference.total_va_stalls
-        assert event.total_sa_conflicts == reference.total_sa_conflicts
-        assert len(event.delivered) == len(reference.delivered)
-        assert event.avg_latency == reference.avg_latency
-
-    def test_fast_forward_preserves_arbitration_state(self):
-        """Skipped cycles must advance every router's SA round-robin
-        counter exactly as the reference's per-cycle stepping does."""
-        topo = FlexibleMeshTopology(8)
-        event = VCNetworkSimulator(topo)
-        reference = ReferenceVCNetworkSimulator(topo)
-        event.inject(0, 63, 64)
-        reference.inject(0, 63, 64)
-        assert event.run() == reference.run()
-        assert [r._rr_input_counter for r in event.routers] == [
-            r._rr_input_counter for r in reference.routers
-        ]
-
-
 class TestDeadlockRegression:
     def _wedged_simulator(self, engine=NoCSimulator) -> NoCSimulator:
         # Mis-segmented on purpose: a ring region spanning the top half
@@ -180,16 +133,3 @@ class TestDeadlockRegression:
         sim = self._wedged_simulator()
         with pytest.raises(RuntimeError, match="did not drain"):
             sim.run(max_cycles=2_000)
-
-    def test_vc_network_structured_error(self):
-        topo = FlexibleMeshTopology(3)
-        sim = VCNetworkSimulator(topo, NoCConfig(vcs_per_port=1, vc_depth=1))
-        for src in range(9):
-            for dst in range(9):
-                if src != dst:
-                    sim.inject(src, dst, 256)
-        with pytest.raises(NoCDeadlockError, match="did not drain") as info:
-            sim.run(max_cycles=50)
-        assert info.value.cycle == 50
-        assert info.value.outstanding_packets > 0
-        assert info.value.queue_depths

@@ -1,5 +1,8 @@
 """Tests for the flit-level NoC simulator."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.arch.noc import (
@@ -139,3 +142,16 @@ class TestLimits:
         assert sim4.undelivered() == 1
         sim4.run()
         assert sim4.undelivered() == 0
+
+
+class TestPlaygroundExample:
+    def test_prints_analytical_and_lumped_columns(self, capsys):
+        """``examples/noc_playground.py`` runs end to end on both tiers."""
+        root = Path(__file__).resolve().parents[1]
+        example = root / "examples" / "noc_playground.py"
+        runpy.run_path(str(example), run_name="__main__")
+        out = capsys.readouterr().out
+        header = next(line for line in out.splitlines() if "configuration" in line)
+        assert "analytical" in header
+        assert "lumped flit" in header
+        assert "plain mesh" in out and "mesh + hub bypass" in out

@@ -1,7 +1,10 @@
 """Tests for request canonicalization and response encoding."""
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.config import default_config
 from repro.runtime import SimJob, job_key
 from repro.runtime.runner import JobOutcome
 from repro.serve.protocol import (
@@ -42,6 +45,21 @@ class TestParse:
     def test_range_validation_propagates(self):
         with pytest.raises(ProtocolError):
             parse_simulation_request({"dataset": "cora", "scale": 2.0})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("link_latency", -5),
+            ("bypass_segment_latency", -50),
+            ("bypass_links_per_row", -1),
+        ],
+    )
+    def test_out_of_range_noc_config_rejected(self, field, value):
+        """A bad ``config.noc`` field fails the request, not the simulation."""
+        config = asdict(default_config())
+        config["noc"][field] = value
+        with pytest.raises(ProtocolError, match=">="):
+            parse_simulation_request({"dataset": "cora", "config": config})
 
     def test_bad_type_rejected(self):
         with pytest.raises(ProtocolError, match="hidden"):
