@@ -1,8 +1,8 @@
 """CI smoke test for `repro serve`.
 
 Boots the real server as a subprocess, drives it with the resilient
-client — concurrent cold requests (single-flight), warm cache hits with
-a latency bound, overload shedding — exports the request traces as a
+client — concurrent cold requests (single-flight), a warm cache hit
+with a latency bound that runs no batch, overload shedding — exports the request traces as a
 Chrome ``trace.json`` (validated: well-formed events, at least one
 complete request tree), then checks the SIGTERM drain contract and
 writes the final ``/stats`` snapshot to SERVE_STATS.json.  Both JSON
@@ -92,11 +92,18 @@ def main() -> int:
                 "concurrent identical requests ran once",
             )
 
-            # Warm request: a cache hit, and fast.
+            # Warm request: a cache hit answered before the batch window
+            # (no batch runs), and fast.
+            batches_before = client.stats()["batcher"]["batches_run"]
             start = time.perf_counter()
             warm = client.simulate(SMALL)
             warm_latency = time.perf_counter() - start
             check(warm["cached"] is True, "warm request hit the cache")
+            batches_after = client.stats()["batcher"]["batches_run"]
+            check(
+                batches_after == batches_before,
+                f"warm request ran no batch ({batches_before} → {batches_after})",
+            )
             check(
                 warm_latency < WARM_LATENCY_BUDGET,
                 f"warm latency {warm_latency:.3f}s < {WARM_LATENCY_BUDGET}s",

@@ -25,6 +25,7 @@ __all__ = [
     "JobOutcome",
     "SweepMetrics",
     "SweepReport",
+    "cached_outcome",
     "run_jobs",
     "run_jobs_async",
 ]
@@ -108,6 +109,25 @@ class SweepReport:
             raise RuntimeError(f"{len(failed)} job(s) failed — {lines}{more}")
 
 
+def cached_outcome(store: ResultCache, key: str, job: SimJob) -> JobOutcome | None:
+    """The cache-hit path: the stored result as a ``cached`` outcome.
+
+    ``None`` on a miss.  :func:`run_jobs` probes through this, and so
+    does the serve batcher before a job enters its window, so a hit is
+    built the same way wherever it is answered.
+    """
+    payload = store.load(key)
+    if payload is None:
+        return None
+    return JobOutcome(
+        job,
+        key,
+        SimulationResult.from_dict(payload),
+        cached=True,
+        exec_meta=payload.get("_exec"),
+    )
+
+
 def run_jobs(
     jobs: Iterable[SimJob],
     *,
@@ -152,15 +172,10 @@ def run_jobs(
         pending: list[tuple[str, SimJob]] = []
         with TRACER.span("cache.probe", {"jobs": len(unique)}) as probe:
             for key, job in unique.items():
-                payload = store.load(key) if store is not None else None
-                if payload is not None:
-                    outcome = JobOutcome(
-                        job,
-                        key,
-                        SimulationResult.from_dict(payload),
-                        cached=True,
-                        exec_meta=payload.get("_exec"),
-                    )
+                outcome = (
+                    cached_outcome(store, key, job) if store is not None else None
+                )
+                if outcome is not None:
                     outcomes[key] = outcome
                     if progress is not None:
                         progress(outcome)

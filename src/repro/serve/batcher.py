@@ -1,16 +1,28 @@
-"""Single-flight deduplication + micro-batching over the job runner.
+"""Single-flight deduplication, cache probe and micro-batching.
 
-Two layers of collapsing between the HTTP handlers and the simulators:
+Three steps between the HTTP handlers and the simulators, in order::
+
+    submit(job) ─► in flight? ──yes──► join its future
+                       │ no
+                       ▼
+                  cache hit? ──yes──► answer now (no window, no batch)
+                       │ no
+                       ▼
+                  batch window ─► run_jobs on a worker thread
 
 * **single-flight** — at most one execution per job content hash is in
   flight at any moment.  A request arriving while "its" job is already
   queued or running simply awaits the same future and shares the
   result, so a stampede of identical requests costs one simulation.
-* **micro-batching** — admitted unique jobs accumulate for a short
+* **cache probe** — a job whose result is already in the
+  :class:`~repro.runtime.cache.ResultCache` is answered on the event
+  loop, through the same hit helper ``run_jobs`` uses, without waiting
+  for the window.
+* **micro-batching** — the remaining misses accumulate for a short
   window (``batch_window`` seconds, or until ``max_batch`` jobs) and go
-  through :func:`repro.runtime.run_jobs` as *one* batch, amortizing the
-  cache probe and (with a process executor) pool spin-up across
-  requests instead of paying them per request.
+  through :func:`repro.runtime.run_jobs` as *one* batch, amortizing
+  (with a process executor) pool spin-up across requests instead of
+  paying it per request.
 
 The batch itself runs on a worker thread (`run_jobs_async`), keeping
 the event loop responsive for admission and shedding while simulations
@@ -27,7 +39,12 @@ from ..perf import PERF
 from ..runtime.budget import BUDGET
 from ..runtime.cache import ResultCache
 from ..runtime.jobs import SimJob, job_key
-from ..runtime.runner import JobOutcome, SweepReport, run_jobs_async
+from ..runtime.runner import (
+    JobOutcome,
+    SweepReport,
+    cached_outcome,
+    run_jobs_async,
+)
 from ..telemetry import TRACER
 
 __all__ = ["JobBatcher"]
@@ -100,6 +117,10 @@ class JobBatcher:
     async def submit(self, job: SimJob) -> tuple[JobOutcome, bool]:
         """Resolve one job to its outcome; ``True`` flags an in-flight join.
 
+        The order is single-flight join, then cache probe, then queue: a
+        job already in flight is joined, a cache hit is answered at once
+        on the event loop, and only a miss waits out the batch window.
+
         Callers that enforce a timeout must shield this coroutine
         (``asyncio.wait_for(asyncio.shield(batcher.submit(job)), t)``)
         so that one caller's deadline cannot cancel an execution other
@@ -107,24 +128,46 @@ class JobBatcher:
         """
         key = job_key(job)
         existing = self._inflight.get(key)
-        if existing is not None:
-            self.singleflight_joins += 1
-            PERF.incr("serve.singleflight_join")
-            outcome = await asyncio.shield(existing)
-            return outcome, True
+        if existing is None:
+            outcome = self._probe(key, job)
+            if outcome is not None:
+                return outcome, False
+        with TRACER.span("batcher", {"key": key[:12]}):
+            if existing is not None:
+                self.singleflight_joins += 1
+                PERF.incr("serve.singleflight_join")
+                outcome = await asyncio.shield(existing)
+                return outcome, True
 
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        self._pending.append((key, job))
-        if len(self._pending) >= self.max_batch:
-            batch = self._take_pending()
-            await self._execute(batch)
-        else:
-            if self._flush_task is None or self._flush_task.done():
-                self._flush_task = loop.create_task(self._flush_after_window())
-        outcome = await asyncio.shield(future)
-        return outcome, False
+            loop = asyncio.get_running_loop()
+            future: asyncio.Future = loop.create_future()
+            self._inflight[key] = future
+            self._pending.append((key, job))
+            if len(self._pending) >= self.max_batch:
+                batch = self._take_pending()
+                await self._execute(batch)
+            else:
+                if self._flush_task is None or self._flush_task.done():
+                    self._flush_task = loop.create_task(self._flush_after_window())
+            outcome = await asyncio.shield(future)
+            return outcome, False
+
+    def _probe(self, key: str, job: SimJob) -> JobOutcome | None:
+        """The cached outcome for ``key``, or ``None`` to queue the job.
+
+        Only a blob on disk is loaded.  An absent key goes straight to
+        the batch, whose ``run_jobs`` probe counts the miss, so each
+        request is counted once.  A stale or corrupt blob is evicted by
+        the load and the job is recomputed in the batch.
+        """
+        if self.cache is None or not self.cache.path_for(key).exists():
+            return None
+        with TRACER.span("cache.probe", {"jobs": 1}) as probe:
+            outcome = cached_outcome(self.cache, key, job)
+            probe.set(hits=int(outcome is not None))
+        if outcome is not None:
+            PERF.incr("runtime.cache_hit")
+        return outcome
 
     # ------------------------------------------------------------------
     def _take_pending(self) -> list[tuple[str, SimJob]]:

@@ -8,11 +8,13 @@ Request path::
                  protocol.parse  (canonical SimJob, 400 on bad input)
                         │
                         ▼
-                 JobBatcher      (single-flight + micro-batch)
+                 JobBatcher.submit
+                   1. single-flight join  (job already in flight)
+                   2. ResultCache probe   (hit → answered now, no window)
+                   3. micro-batch window  (misses only)
                         │
                         ▼
-                 run_jobs on a worker thread
-                 (ResultCache hit → no simulation at all)
+                 run_jobs on a worker thread (simulate, store)
 
 Endpoints: ``POST /simulate``, ``GET /healthz``, ``GET /stats``,
 ``GET /metrics`` (Prometheus text), ``GET /trace`` (buffered spans),
@@ -528,9 +530,7 @@ class SimulationService:
     ) -> tuple[int, dict]:
         start = time.perf_counter()
         try:
-            with PERF.timer("serve.request"), TRACER.span(
-                "batcher", {"key": job.key[:12]}
-            ):
+            with PERF.timer("serve.request"):
                 # Shield: a timeout abandons *this* request, never the
                 # shared execution other single-flight waiters joined.
                 outcome, joined = await asyncio.wait_for(

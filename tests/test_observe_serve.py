@@ -23,7 +23,7 @@ from repro.observe.websocket import (
     close_code,
     read_frame,
 )
-from repro.runtime import run_jobs
+from repro.runtime import ResultCache, run_jobs
 from repro.serve.server import ServerThread, SimulationService
 
 SMALL = {"dataset": "cora", "scale": 0.1, "hidden": 8, "layers": 1}
@@ -132,6 +132,33 @@ class TestLiveFeed:
         assert validate_events(events) == []
         rids = {e["data"]["rid"] for e in events if "rid" in e["data"]}
         assert len(rids) == 1
+
+    def test_warm_hit_lifecycle_has_no_batch_flush(self, tmp_path):
+        service = SimulationService(
+            cache=ResultCache(tmp_path / "cache"),
+            batch_window=0.01,
+            observe=ObserveState(
+                flush_interval=0.0, tick_interval=0.0, source="test"
+            ),
+        )
+        with ServerThread(service) as thread:
+            (status, cold), _ = collect_one_request(thread.address)
+            (status, warm), events = collect_one_request(thread.address)
+        assert status == 200
+        assert cold["cached"] is False and warm["cached"] is True
+
+        lifecycle = [
+            e for e in events
+            if e["type"].startswith("request.") or e["type"] == "batch.flush"
+        ]
+        assert [e["type"] for e in lifecycle] == [
+            "request.received",
+            "request.admitted",
+            "request.completed",
+        ]
+        assert lifecycle[-1]["data"]["cached"] is True
+        assert len({e["data"]["rid"] for e in lifecycle}) == 1
+        assert validate_events(events) == []
 
     def test_recording_replays_the_live_sequence(self, observed):
         _service, address, record_path = observed

@@ -1,10 +1,12 @@
 """Tests for single-flight deduplication and micro-batching."""
 
 import asyncio
+import time
 
 import pytest
 
-from repro.runtime import SimJob, job_key
+from repro.perf import PERF
+from repro.runtime import ResultCache, SimJob, job_key, run_jobs
 from repro.runtime.runner import JobOutcome, SweepMetrics, SweepReport
 from repro.serve.batcher import JobBatcher
 
@@ -128,6 +130,136 @@ class TestBatching:
             return outcome
 
         assert asyncio.run(run()).cached is True
+
+
+def counter_deltas(names, action):
+    """Run ``action`` and return how much each PERF counter moved."""
+    before = {name: PERF.counters.get(name, 0) for name in names}
+    result = action()
+    return result, {
+        name: PERF.counters.get(name, 0) - before[name] for name in names
+    }
+
+
+COUNTERS = ("runtime.cache_hit", "runtime.cache_miss", "serve.batch")
+
+
+class TestCacheProbe:
+    """Cache hits are answered before the batch window; misses are not."""
+
+    def test_warm_submit_skips_the_window(self, tmp_path):
+        job = SimJob(**SMALL)
+        run_jobs([job], cache=ResultCache(tmp_path))  # warm the blob
+        cache = ResultCache(tmp_path)
+        calls = []
+
+        async def run():
+            batcher = JobBatcher(
+                cache=cache, runner=make_runner(calls), batch_window=5.0
+            )
+            start = time.perf_counter()
+            outcome, joined = await batcher.submit(job)
+            return outcome, joined, time.perf_counter() - start, batcher
+
+        (outcome, joined, elapsed, batcher), moved = counter_deltas(
+            COUNTERS, lambda: asyncio.run(run())
+        )
+        assert elapsed < 0.5  # a tenth of the 5 s window
+        assert outcome.ok and outcome.cached and not joined
+        assert outcome.key == job_key(job)
+        assert calls == []  # the runner never saw the hit
+        assert batcher.batches_run == 0 and batcher.jobs_run == 0
+        assert cache.stats.hits == 1 and cache.stats.misses == 0
+        assert moved == {
+            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "serve.batch": 0
+        }
+
+    def test_cold_then_warm_counts_each_request_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = SimJob(**SMALL)
+
+        async def submit(batcher):
+            outcome, _ = await batcher.submit(job)
+            return outcome
+
+        batcher = JobBatcher(cache=cache, batch_window=0.0)
+        cold, moved_cold = counter_deltas(
+            COUNTERS, lambda: asyncio.run(submit(batcher))
+        )
+        assert cold.ok and not cold.cached
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (
+            0, 1, 1
+        )
+        assert moved_cold == {
+            "runtime.cache_hit": 0, "runtime.cache_miss": 1, "serve.batch": 1
+        }
+        assert batcher.batches_run == 1
+
+        warm, moved_warm = counter_deltas(
+            COUNTERS, lambda: asyncio.run(submit(batcher))
+        )
+        assert warm.ok and warm.cached
+        assert warm.result.to_dict() == cold.result.to_dict()
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert moved_warm == {
+            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "serve.batch": 0
+        }
+        assert batcher.batches_run == 1  # the hit ran no batch
+
+    def _submit_once(self, cache, job):
+        async def run():
+            batcher = JobBatcher(cache=cache, batch_window=0.0)
+            outcome, _ = await batcher.submit(job)
+            return outcome, batcher
+
+        return asyncio.run(run())
+
+    def test_stale_blob_is_evicted_and_recomputed(self, tmp_path):
+        job = SimJob(**SMALL)
+        run_jobs([job], cache=ResultCache(tmp_path, fingerprint="0" * 16))
+        cache = ResultCache(tmp_path)
+        outcome, batcher = self._submit_once(cache, job)
+        assert outcome.ok and not outcome.cached
+        assert cache.stats.invalidations == 1
+        assert batcher.batches_run == 1  # recomputed through the batch
+        assert cache.stats.stores == 1  # ...and stored afresh
+        warm, batcher = self._submit_once(cache, job)
+        assert warm.cached and batcher.batches_run == 0
+
+    def test_corrupt_blob_is_evicted_and_recomputed(self, tmp_path):
+        job = SimJob(**SMALL)
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(job_key(job))
+        path.parent.mkdir(parents=True)
+        path.write_text("{not json")
+        outcome, batcher = self._submit_once(cache, job)
+        assert outcome.ok and not outcome.cached
+        assert cache.stats.corrupt == 1
+        assert batcher.batches_run == 1
+        assert cache.stats.stores == 1
+        warm, batcher = self._submit_once(cache, job)
+        assert warm.cached and batcher.batches_run == 0
+
+    def test_inflight_join_comes_before_the_probe(self, tmp_path):
+        """A job already in flight is joined even once its blob lands."""
+        job = SimJob(**SMALL)
+        cache = ResultCache(tmp_path)
+        calls = []
+
+        async def run():
+            batcher = JobBatcher(
+                cache=cache, runner=make_runner(calls, delay=0.05),
+                batch_window=0.0,
+            )
+            first = asyncio.ensure_future(batcher.submit(job))
+            await asyncio.sleep(0.01)  # first is now executing
+            run_jobs([job], cache=ResultCache(tmp_path))  # blob lands
+            second = await batcher.submit(job)
+            return await first, second
+
+        (_, first_joined), (_, second_joined) = asyncio.run(run())
+        assert not first_joined and second_joined
+        assert len(calls) == 1
 
 
 class TestFlushRearm:

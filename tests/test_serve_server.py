@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.perf import PERF
 from repro.runtime import ResultCache, SimJob, job_key, run_jobs
 from repro.serve.client import RequestFailed, ServeClient, ServiceUnavailable
 from repro.serve.server import LatencyWindow, ServerThread, SimulationService
@@ -83,8 +84,52 @@ class TestSingleFlight:
         assert cold["cached"] is False
         assert warm["cached"] is True
         assert warm["key"] == cold["key"]
-        assert sum(len(b) for b in calls) == 2  # both went through run_jobs
+        # Only the cold request reached run_jobs; the warm one was
+        # answered from the cache before the batch window.
+        assert sum(len(b) for b in calls) == 1
+        assert service.batcher.batches_run == 1
         assert cache.stats.hits == 1
+
+
+class TestCacheHitPath:
+    """Warm requests are answered before the batch window."""
+
+    def test_each_request_counted_once(self, tmp_path):
+        names = ("runtime.cache_hit", "runtime.cache_miss", "serve.batch")
+        cache = ResultCache(tmp_path)
+        service = SimulationService(cache=cache, batch_window=0.005)
+        with ServerThread(service) as thread:
+            client = ServeClient(*thread.address, timeout=60.0)
+            before = {n: PERF.counters.get(n, 0) for n in names}
+            cold = client.simulate(SMALL)
+            after_cold = {n: PERF.counters.get(n, 0) for n in names}
+            warm = client.simulate(SMALL)
+            after_warm = {n: PERF.counters.get(n, 0) for n in names}
+            batcher = client.stats()["batcher"]
+        assert cold["cached"] is False and warm["cached"] is True
+        assert {n: after_cold[n] - before[n] for n in names} == {
+            "runtime.cache_hit": 0, "runtime.cache_miss": 1, "serve.batch": 1
+        }
+        assert {n: after_warm[n] - after_cold[n] for n in names} == {
+            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "serve.batch": 0
+        }
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert batcher["batches_run"] == 1 and batcher["jobs_run"] == 1
+
+    def test_warm_hit_while_draining_is_503(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        service = SimulationService(cache=cache, batch_window=0.0)
+        with ServerThread(service) as thread:
+            client = ServeClient(*thread.address, timeout=60.0)
+            client.simulate(SMALL)
+            assert client.simulate(SMALL)["cached"] is True  # a live hit
+            service.begin_drain()
+            status, headers, _ = raw_request(
+                thread.address, "POST", "/simulate", SMALL
+            )
+        assert status == 503
+        assert "Retry-After" in headers
+        assert cache.stats.hits == 1  # shed before the probe
 
 
 class TestOverload:

@@ -1,8 +1,9 @@
 """End-to-end telemetry through the serve stack.
 
 One ``/simulate`` request must yield a single span tree
-(``http → admission/batcher → batch → run_jobs → executor.job →
-simulate_layer → {partition, tiling, mapping, noc}``), exposed over
+(``http → admission, batcher → batch → run_jobs → executor.job →
+simulate_layer → {partition, tiling, mapping, noc}``; a warm cache hit
+is just ``http → admission, cache.probe``), exposed over
 ``/trace``, renderable as valid Chrome-trace JSON, alongside a
 parseable Prometheus ``/metrics`` endpoint and a telemetry section in
 ``/stats``.
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+from repro.runtime import ResultCache
 from repro.serve.client import ServeClient
 from repro.serve.server import LatencyWindow, ServerThread, SimulationService
 from repro.telemetry import TRACER
@@ -127,6 +129,36 @@ class TestRequestTree:
         spans = client.trace(payload["trace_id"])["spans"]
         http_span = next(s for s in spans if s["name"] == "http")
         assert http_span["attributes"]["status"] == 400
+
+
+class TestWarmHitTree:
+    def test_warm_hit_is_http_admission_and_probe_only(self, tmp_path):
+        with TRACER.session(enabled=True, sample_rate=1.0):
+            service = SimulationService(cache=ResultCache(tmp_path))
+            with ServerThread(service) as thread:
+                client = ServeClient(*thread.address, timeout=60.0)
+                cold = client.simulate(SMALL)
+                warm = client.simulate(SMALL)
+                cold_spans = client.trace(cold["trace_id"])["spans"]
+                warm_spans = [
+                    Span.from_dict(s)
+                    for s in client.trace(warm["trace_id"])["spans"]
+                ]
+        assert warm["cached"] is True
+        assert {"batcher", "batch"} <= {s["name"] for s in cold_spans}
+
+        by_id = {s.span_id: s for s in warm_spans}
+        tree = sorted(
+            (s.name, by_id[s.parent_id].name if s.parent_id else None)
+            for s in warm_spans
+        )
+        assert tree == [
+            ("admission", "http"),
+            ("cache.probe", "http"),
+            ("http", None),
+        ]
+        probe = next(s for s in warm_spans if s.name == "cache.probe")
+        assert probe.attributes["hits"] == 1
 
 
 class TestTraceEndpoint:
