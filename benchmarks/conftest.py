@@ -17,3 +17,19 @@ def emit(result_text: str) -> None:
     """Print a regenerated paper artifact so the bench log shows it."""
     print()
     print(result_text)
+
+
+def tile_fields(result) -> tuple:
+    """The deterministic counters of one cycle-tier tile run, compared
+    across engines and execution paths by the speedup gates."""
+    return (
+        result.noc_cycles,
+        result.stall_events,
+        result.mesh_flit_hops,
+        result.bypass_flit_hops,
+        result.packets,
+        result.flits,
+        result.avg_packet_latency,
+        result.compute_cycles_a,
+        result.compute_cycles_b,
+    )

@@ -1,35 +1,96 @@
-"""Cycle-tier throughput bench: event engine vs the retained reference.
+"""Cycle-tier throughput gate: event engine vs the retained reference.
 
-PR 3's tentpole rebuilt the flit-level simulators as batched event
-engines; the contract is a >=5x speedup on the standard pubmed cycle
-tile (the BENCH_3.json workload) while staying bit-identical to the
-reference implementations they replaced.  This module is the CI guard
-on that contract.
+The flit-level simulator runs as a batched event engine; the contract
+is a >=5x speedup on the standard pubmed cycle tile while staying
+bit-identical to the reference implementation it replaced.  This
+module is the CI guard on that contract.
 
 The speedup assert is a *ratio* of two runs on the same machine, so it
 is far less machine-sensitive than a wall-time bound — but shared
 runners still jitter, so it too is relaxed by ``$REPRO_BENCH_SLACK``
-(default 1.0; CI sets a larger factor).  ``repro bench --tier cycle``
-/ ``BENCH_3.json`` is the instrument for real numbers.
+(default 1.0; CI sets a larger factor).  ``perfbench/``'s
+``cycle-calibrate`` workload is the instrument for real numbers.
 """
 
 import os
 import time
+from dataclasses import dataclass
 
 import pytest
+from conftest import tile_fields
 
-from repro.perf.bench import (
-    CYCLE_BENCHES,
-    _run_cycle_case,
-    clear_hot_path_caches,
-)
+from repro.perf.bench import clear_hot_path_caches
 
 #: Multiplier on every wall-time bound; CI sets e.g. REPRO_BENCH_SLACK=4.
 SLACK = float(os.environ.get("REPRO_BENCH_SLACK", "1.0"))
 
-#: Locked contract from ISSUE/BENCH_3: event warm-min vs one reference
-#: run on the pubmed tile.  Measured 5.7-6.1x on the development box.
+#: Locked contract: event warm-min vs one reference run on the pubmed
+#: tile.  Measured 5.7-6.1x on the development box.
 MIN_SPEEDUP = 5.0
+
+
+@dataclass(frozen=True)
+class CycleBenchCase:
+    """One cycle-tier workload: a tile executed at flit granularity."""
+
+    name: str
+    dataset: str
+    scale: float
+    model: str = "gcn"
+    array_k: int = 16
+    hidden: int = 16
+
+
+#: A dense pubmed tile on the largest supported array.  Heavy on
+#: purpose — the event engine's advantage over the reference grows with
+#: traffic, and calibration sweeps are made of exactly this kind of tile.
+CYCLE_BENCHES: tuple[CycleBenchCase, ...] = (
+    CycleBenchCase("pubmed-tile", "pubmed", 0.12),
+)
+
+
+def _run_cycle_case(case: CycleBenchCase, repeat: int) -> dict:
+    """Cold + ``repeat`` warm event runs and one reference run of the
+    tile; every run must reproduce the first one's counters."""
+    from repro.config import small_config
+    from repro.core.cycle_engine import CycleTileEngine
+    from repro.graphs.datasets import load_dataset
+    from repro.models.workload import LayerDims
+    from repro.models.zoo import get_model
+
+    graph = load_dataset(case.dataset, scale=case.scale)
+    model = get_model(case.model)
+    dims = LayerDims(graph.num_features, case.hidden)
+    cfg = small_config(case.array_k)
+
+    clear_hot_path_caches()
+    event = CycleTileEngine(cfg, noc_engine="event")
+    result = event.run_tile(model, graph, dims)
+
+    warm: list[float] = []
+    for _ in range(max(1, repeat)):
+        t0 = time.perf_counter()
+        again = event.run_tile(model, graph, dims)
+        warm.append(time.perf_counter() - t0)
+        assert tile_fields(again) == tile_fields(result), (
+            f"non-deterministic cycle bench result for {case.name}"
+        )
+
+    # The retained original simulator, timed once on the same tile (it
+    # has no warm path: routes and flit objects are rebuilt every run).
+    reference = CycleTileEngine(cfg, noc_engine="reference")
+    t0 = time.perf_counter()
+    ref_result = reference.run_tile(model, graph, dims)
+    ref_seconds = time.perf_counter() - t0
+    assert tile_fields(ref_result) == tile_fields(result), (
+        f"event engine diverged from reference on {case.name}"
+    )
+
+    return {
+        "noc_cycles": result.noc_cycles,
+        "packets": result.packets,
+        "speedup_vs_reference": ref_seconds / min(warm),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +100,7 @@ def pubmed_tile_case():
 
 def test_event_engine_speedup_vs_reference(pubmed_tile_case):
     """One bench pass (cold + 2 warm + reference) with identity checks
-    built into ``_run_cycle_case`` — diverging results raise before any
+    built into ``_run_cycle_case`` — diverging results fail before any
     timing assert can pass."""
     bench = _run_cycle_case(pubmed_tile_case, repeat=2)
     assert bench["speedup_vs_reference"] >= MIN_SPEEDUP / SLACK

@@ -1,31 +1,177 @@
-"""Incremental re-simulation bench: delta-warm requests vs cold runs.
+"""Incremental re-simulation gate: delta-warm requests vs cold runs.
 
-This PR's tentpole made mutated-graph re-simulation incremental: a
-degree-preserving edge delta dirties only the tiles it touches, clean
-tiles resolve from the per-tile cache (fronted by an in-process memo),
-and the partition/tiling planners patch their cached parent state
-instead of recomputing.  The contract is a >=5x warm-over-cold speedup
-on the multi-tile pubmed job (the BENCH_8.json workload) at <=10% dirty
-tiles, with the warm result bit-identical to the from-scratch run.
-This module is the CI guard on that contract.
+Mutated-graph re-simulation is incremental: a degree-preserving edge
+delta dirties only the tiles it touches, clean tiles resolve from the
+per-tile cache (fronted by an in-process memo), and the
+partition/tiling planners patch their cached parent state instead of
+recomputing.  The contract is a >=5x warm-over-cold speedup on the
+multi-tile pubmed job at <=10% dirty tiles, with the warm result
+bit-identical to the from-scratch run.  This module is the CI guard on
+that contract.
 
 Like the other gates, the speedup assert is a ratio of two runs on the
 same machine, relaxed by ``$REPRO_BENCH_SLACK`` against runner jitter.
-``repro bench --tier delta`` / ``BENCH_8.json`` is the instrument for
-real numbers.
 """
 
 import os
+import tempfile
+import time
+from dataclasses import dataclass, replace
 
-from repro.perf.bench import DELTA_BENCHES, _run_delta_case
+from repro.perf.bench import clear_hot_path_caches
 
 #: Multiplier on every bound; CI sets e.g. REPRO_BENCH_SLACK=4.
 SLACK = float(os.environ.get("REPRO_BENCH_SLACK", "1.0"))
 
-#: Locked contract from ISSUE/BENCH_8: warm incremental re-run vs cold
-#: from-scratch run of the mutated job, at <=10% dirty tiles.  Measured
-#: 16.6x at 1% and 6.9x at 10% on the development box.
+#: Locked contract: warm incremental re-run vs cold from-scratch run of
+#: the mutated job, at <=10% dirty tiles.  Measured 16.6x at 1% and 6.9x
+#: at 10% on the development box.
 MIN_SPEEDUP = 5.0
+
+
+@dataclass(frozen=True)
+class DeltaBenchCase:
+    """One incremental re-simulation workload: mutate, re-run, reuse.
+
+    ``pe_buffer_bytes`` shrinks the distributed buffer so the dataset
+    tiles into a few dozen contiguous ranges (at the default ~100 MiB
+    buffer pubmed is a single tile and there is nothing to reuse).  For
+    each dirty fraction, a degree-preserving rewire dirties that share
+    of tiles; the mutated job is then timed **warm** (per-tile cache
+    seeded by the base run — clean tiles resolve from cache) and
+    **cold** (no tile cache, everything from scratch), and both results
+    must be bit-identical.
+    """
+
+    name: str
+    dataset: str = "pubmed"
+    scale: float = 1.0
+    model: str = "gcn"
+    hidden: int = 32
+    num_layers: int = 2
+    #: Shrunk array + minimum buffers → ~128 KiB tiling capacity, ~100
+    #: tiles on pubmed; per-tile work then dominates the per-layer fixed
+    #: stages (partitioning), which is the regime tiled re-simulation
+    #: targets.
+    array_k: int = 16
+    pe_buffer_bytes: int = 1024
+    rows_per_tile: int = 4
+    fractions: tuple = (0.01, 0.10, 0.50)
+
+
+DELTA_BENCHES: tuple[DeltaBenchCase, ...] = (
+    DeltaBenchCase("pubmed-delta"),
+)
+
+
+def _delta_mutation(case, graph, boundaries, num_tiles, fraction, seed):
+    """A rewire delta dirtying ``fraction`` of the tiles, evenly spread."""
+    import numpy as np
+
+    from repro.graphs.delta import rewire_delta
+
+    target = max(1, round(fraction * num_tiles))
+    chosen = np.unique(
+        np.linspace(0, num_tiles - 1, num=min(target, num_tiles))
+        .round()
+        .astype(np.int64)
+    )
+    rows: list[int] = []
+    for t in chosen.tolist():
+        start, end = int(boundaries[t]), int(boundaries[t + 1])
+        rows.extend(range(start, min(start + case.rows_per_tile, end)))
+    return rewire_delta(graph, rows, seed=seed)
+
+
+def _run_delta_case(case: DeltaBenchCase, repeat: int) -> dict:
+    """Per dirty fraction: ``repeat`` interleaved warm (tile cache seeded
+    by the base run) and cold (no tile cache, memos cleared) runs of the
+    mutated job, with the warm payload compared to the cold one."""
+    from repro.config import default_config
+    from repro.core.simulator import _BUFFER_UTIL
+    from repro.graphs.datasets import load_dataset
+    from repro.graphs.delta import tile_boundaries
+    from repro.graphs.tiling import tile_graph
+    from repro.runtime.jobs import ENV_TILE_CACHE_DIR, SimJob, execute_job
+
+    cfg = default_config().scaled(
+        array_k=case.array_k, pe_buffer_bytes=case.pe_buffer_bytes
+    )
+    base_job = SimJob(
+        model=case.model,
+        dataset=case.dataset,
+        scale=case.scale,
+        hidden=case.hidden,
+        num_layers=case.num_layers,
+        config=cfg,
+    )
+    graph = load_dataset(case.dataset, scale=case.scale, seed=base_job.seed)
+    plan = tile_graph(
+        graph,
+        int(cfg.onchip_bytes * _BUFFER_UTIL),
+        bytes_per_value=cfg.bytes_per_value,
+    )
+    boundaries = tile_boundaries(plan)
+    num_tiles = plan.num_tiles
+
+    saved_env = os.environ.get(ENV_TILE_CACHE_DIR)
+    benches: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            os.environ[ENV_TILE_CACHE_DIR] = tmp
+            clear_hot_path_caches()
+            execute_job(base_job)
+
+            for fraction in case.fractions:
+                warm_times: list[float] = []
+                cold_times: list[float] = []
+                identical = True
+                meta: dict = {}
+                for rep in range(max(1, repeat)):
+                    # A fresh rewire seed per repeat keeps dirty tiles
+                    # genuinely cold in the tile cache each time.
+                    delta = _delta_mutation(
+                        case, graph, boundaries, num_tiles, fraction,
+                        seed=base_job.seed + rep,
+                    )
+                    job = replace(base_job, mutations=(delta,))
+                    # Warm models a persistent serving process: hot-path
+                    # memos (including the in-process tile memo) survive
+                    # between requests, exactly as under ``repro serve``.
+                    # The interleaved cold control wipes that state, so an
+                    # untimed base replay restores it first.
+                    os.environ[ENV_TILE_CACHE_DIR] = tmp
+                    execute_job(base_job)
+                    t0 = time.perf_counter()
+                    warm_payload = execute_job(job)
+                    warm_times.append(time.perf_counter() - t0)
+                    meta = warm_payload.get("_exec") or {}
+
+                    del os.environ[ENV_TILE_CACHE_DIR]
+                    clear_hot_path_caches()
+                    t0 = time.perf_counter()
+                    cold_payload = execute_job(job)
+                    cold_times.append(time.perf_counter() - t0)
+                    warm_result = {
+                        k: v for k, v in warm_payload.items() if k != "_exec"
+                    }
+                    identical = identical and warm_result == cold_payload
+
+                benches[f"{case.name}-{fraction:g}"] = {
+                    "num_tiles": num_tiles,
+                    "dirty_fraction": fraction,
+                    "speedup_vs_cold": min(cold_times) / min(warm_times),
+                    "tiles": meta.get("tiles", 0),
+                    "tiles_reused": meta.get("tiles_reused", 0),
+                    "tiles_recomputed": meta.get("tiles_recomputed", 0),
+                    "bit_identical": identical,
+                }
+        finally:
+            if saved_env is None:
+                os.environ.pop(ENV_TILE_CACHE_DIR, None)
+            else:
+                os.environ[ENV_TILE_CACHE_DIR] = saved_env
+    return benches
 
 
 def test_delta_warm_speedup_vs_cold():

@@ -9,8 +9,7 @@ extraction, link-load accumulation) show up here.
 Wall-time assertions are scaled by ``$REPRO_BENCH_SLACK`` (default 1.0;
 CI sets a larger factor) because shared runners are noisy — the asserts
 exist to catch order-of-magnitude regressions, not to gate on machine
-speed.  ``repro bench`` / ``BENCH_*.json`` is the instrument for real
-numbers.
+speed.  ``perfbench/`` is the instrument for real numbers.
 """
 
 import os

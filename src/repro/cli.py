@@ -21,9 +21,8 @@ Commands
     Generate a degree-preserving edge-mutation batch over a dataset
     snapshot — the ``{base, mutations}`` payload ``/simulate`` accepts
     for incremental re-simulation.
-``bench``
-    Run the standard layer benchmarks (cold + warm) and write a
-    ``BENCH_*.json`` snapshot with per-stage timings and cache counters.
+``dse``
+    Design-space exploration over the content-addressed job cache.
 ``serve``
     Run the long-lived simulation service (asyncio HTTP, single-flight
     dedup, micro-batching, admission control; drains on SIGTERM).
@@ -40,6 +39,12 @@ Commands
     both also read span JSONL files offline via ``--input``.
 ``cache``
     Inspect / manage the on-disk result cache (stats, clear, prune).
+``observe``
+    Record, tail, or replay a running server's live event stream.
+
+Measurement lives outside the package: ``perfbench/`` (declared by
+``BENCHMARK.json``) is the benchmark, and ``benchmarks/`` holds the
+speedup and overhead gates CI runs.
 
 ``compare``/``sweep``/``experiment`` accept ``--jobs N`` (process-pool
 fan-out) and ``--cache/--no-cache`` (content-addressed result cache in
@@ -334,58 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the result summary as JSON",
     )
     add_runtime_flags(p_dse, cache_default=True)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the standard layer benches; write a BENCH json"
-    )
-    p_bench.add_argument(
-        "--tier",
-        choices=(
-            "analytical", "cycle", "serve", "cluster", "fanout", "delta",
-            "dse", "observe",
-        ),
-        default="analytical",
-        help="which tier to bench: analytical layer sweep (BENCH_2), "
-        "flit-level cycle tile (BENCH_3), the end-to-end simulation "
-        "service (BENCH_4), the sharded cluster at 1/2/4 replicas "
-        "(BENCH_6), intra-job tile fan-out on a multi-tile job "
-        "(BENCH_7), incremental re-simulation under mutation "
-        "streams at 1/10/50% dirty tiles (BENCH_8), cache-amplified "
-        "design-space search throughput (BENCH_9), or the serve path "
-        "with the live observer on vs off (BENCH_10)",
-    )
-    p_bench.add_argument(
-        "--tile-workers",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="fan-out tier: worker processes for tile sharding "
-        "(default: the case's setting, bounded by the shared budget)",
-    )
-    p_bench.add_argument(
-        "--repeat",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="warm repetitions per bench after one cold call "
-        "(default: 5 analytical, 3 cycle, 10 serve, 2 cluster, "
-        "1 fanout/delta/dse, 40 observe)",
-    )
-    p_bench.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="snapshot destination (default: BENCH_2.json analytical, "
-        "BENCH_3.json cycle, BENCH_4.json serve, BENCH_6.json cluster, "
-        "BENCH_7.json fanout, BENCH_8.json delta, BENCH_9.json dse, "
-        "BENCH_10.json observe)",
-    )
-    p_bench.add_argument(
-        "--telemetry",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run traced and embed span counts + top stages in the snapshot",
-    )
 
     p_srv = sub.add_parser(
         "serve", help="run the long-lived simulation service"
@@ -1081,115 +1034,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import write_bench_json
-
-    defaults = {
-        "analytical": "BENCH_2.json",
-        "cycle": "BENCH_3.json",
-        "serve": "BENCH_4.json",
-        "cluster": "BENCH_6.json",
-        "fanout": "BENCH_7.json",
-        "delta": "BENCH_8.json",
-        "dse": "BENCH_9.json",
-        "observe": "BENCH_10.json",
-    }
-    output = args.output or defaults[args.tier]
-    snapshot = write_bench_json(
-        output,
-        repeat=args.repeat,
-        tier=args.tier,
-        telemetry=args.telemetry,
-        tile_workers=getattr(args, "tile_workers", None),
-    )
-    print(f"bench: wrote {output} ({snapshot['wall_seconds']:.2f}s wall)")
-    for name, bench in snapshot["benches"].items():
-        if "warm_mean_seconds" in bench:
-            print(
-                f"  {name:<12} cold {bench['cold_seconds'] * 1e3:7.1f} ms | "
-                f"warm mean {bench['warm_mean_seconds'] * 1e3:7.1f} ms "
-                f"(min {bench['warm_min_seconds'] * 1e3:.1f} ms, "
-                f"x{snapshot['repeat']})"
-            )
-        if "speedup_vs_reference" in bench:
-            print(
-                f"  {'':<12} reference {bench['reference_seconds']:.2f} s → "
-                f"{bench['speedup_vs_reference']:.2f}x | "
-                f"{bench['packets_per_second']:,.0f} packets/s | "
-                f"{bench['cycles_per_second']:,.0f} cycles/s"
-            )
-        if "shards" in bench:
-            print(
-                f"  {'':<12} {bench['num_tiles']} tiles in "
-                f"{bench['shards']} shard(s) on "
-                f"{bench['effective_workers']} worker(s), "
-                f"engine {bench['noc_engine']}"
-            )
-        if "requests_per_second" in bench:
-            print(
-                f"  {name:<12} {bench['requests']} requests @ "
-                f"{bench['concurrency']} concurrent → "
-                f"{bench['requests_per_second']:,.0f} req/s"
-            )
-        if "shed_rate" in bench:
-            print(
-                f"  {name:<12} {bench['served']} served / "
-                f"{bench['shed']} shed of {bench['requests']} "
-                f"(shed rate {bench['shed_rate']:.0%}, "
-                f"queue depth {bench['queue_depth']})"
-            )
-        if "failed" in bench:
-            print(
-                f"  {name:<12} {bench['requests']} requests, replica killed "
-                f"mid-load → {bench['failed']} failed, "
-                f"{bench['proxy_failovers']} failover(s), "
-                f"recovered={bench['recovered']}"
-            )
-        if "overhead_fraction" in bench:
-            print(
-                f"  {name:<12} observer off {bench['off_mean_seconds'] * 1e3:6.1f} ms "
-                f"| on {bench['on_mean_seconds'] * 1e3:6.1f} ms → "
-                f"{bench['overhead_fraction']:+.1%} overhead "
-                f"(budget {bench['overhead_budget']:.0%}, "
-                f"within={bench['within_budget']}, "
-                f"{bench['events_received']} events)"
-            )
-        if "dirty_fraction" in bench:
-            print(
-                f"  {name:<12} {bench['dirty_fraction']:.0%} dirty "
-                f"({bench['dirty_tiles']}/{bench['num_tiles']} tiles) → "
-                f"cold {bench['cold_seconds'] * 1e3:7.1f} ms | "
-                f"warm {bench['warm_seconds'] * 1e3:7.1f} ms | "
-                f"{bench['speedup_vs_cold']:.1f}x "
-                f"(reused {bench['tiles_reused']}, "
-                f"recomputed {bench['tiles_recomputed']}, "
-                f"identical={bench['bit_identical']})"
-            )
-    scaling = snapshot.get("scaling_vs_1_replica")
-    if scaling:
-        print(
-            "  scaling vs 1 replica: "
-            + ", ".join(f"{k}x fleet = {v:.2f}x" for k, v in sorted(scaling.items()))
-            + f" (cpu_count={snapshot['environment'].get('cpu_count')})"
-        )
-    hits = {
-        k: v for k, v in snapshot["counters"].items() if k.endswith("cache_hit")
-    }
-    if hits:
-        print("  cache hits: " + ", ".join(f"{k}={v}" for k, v in sorted(hits.items())))
-    telemetry = snapshot.get("telemetry")
-    if telemetry and telemetry.get("span_count"):
-        top = ", ".join(
-            f"{s['name']} {s['total_seconds'] * 1e3:.1f}ms"
-            for s in telemetry["top_stages"]
-        )
-        print(
-            f"  telemetry: {telemetry['span_count']} spans"
-            + (f" | top stages: {top}" if top else "")
-        )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -1655,8 +1499,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_mutate(args)
     if args.command == "dse":
         return _cmd_dse(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "cluster":

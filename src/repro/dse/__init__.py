@@ -10,8 +10,9 @@ Because every candidate encodes to a content-addressed :class:`SimJob`,
 repeated designs — within a search, across optimizers, across runs —
 are served from the result cache instead of re-simulated.
 
-Surfaces: the ``repro dse`` CLI command, ``POST /dse`` + ``GET
-/dse/<id>`` on the serve layer, and ``repro bench --tier dse``.
+Surfaces: the ``repro dse`` CLI command and ``POST /dse`` + ``GET
+/dse/<id>`` on the serve layer; perfbench's ``design-search`` workload
+measures it.
 """
 
 from .artifacts import (

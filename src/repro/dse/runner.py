@@ -373,7 +373,7 @@ class DSERunner:
                 metrics = report.metrics
                 result.executed += metrics.executed
                 # Evaluations not simulated were served by the cache or
-                # by in-batch dedup — the amplification BENCH_9 measures.
+                # by in-batch dedup — the cache amplification.
                 result.served += len(evaluated) - metrics.executed
                 optimizer.tell(evaluated)
                 for (candidate, fitness), ok in zip(evaluated, oks):

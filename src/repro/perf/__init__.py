@@ -1,9 +1,11 @@
-"""Perf instrumentation and benchmarking for the analytical tier.
+"""Perf instrumentation for the analytical tier.
 
 * :mod:`.instrumentation` — the process-global :data:`~.instrumentation.PERF`
   registry of stage timers and cache counters;
-* :mod:`.bench` — the standard layer benchmarks behind ``repro bench``
-  and the ``BENCH_*.json`` snapshot format.
+* :mod:`.bench` — :func:`~.bench.clear_hot_path_caches`, which empties
+  every memo layer before a cold measurement.
+
+The benchmark itself lives outside the package, in ``perfbench/``.
 """
 
 from .instrumentation import PERF, PerfRegistry, StageStat

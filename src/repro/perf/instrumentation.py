@@ -19,7 +19,7 @@ and ``incr`` increments ``repro_events_total`` (labelled by event) — so
 every existing ``PERF`` call site also feeds the store the serve
 ``/metrics`` endpoint renders as Prometheus text.  The ``stages`` /
 ``counters`` / ``snapshot()`` views keep their historical shapes, which
-the ``BENCH_*.json`` artifacts and the test-suite rely on.
+perfbench and the test-suite rely on.
 
 Thread safety: the underlying metric children carry their own locks, so
 ``add_time``/``incr`` from serve's executor threads never lose updates

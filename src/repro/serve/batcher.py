@@ -158,14 +158,18 @@ class JobBatcher:
         Only a blob on disk is loaded.  An absent key goes straight to
         the batch, whose ``run_jobs`` probe counts the miss, so each
         request is counted once.  A stale or corrupt blob is evicted by
-        the load and the job is recomputed in the batch.
+        the load and the job is recomputed in the batch; that batch's
+        probe then finds no file and counts the request's one miss, so
+        the load's own miss is taken back here.
         """
         if self.cache is None or not self.cache.path_for(key).exists():
             return None
         with TRACER.span("cache.probe", {"jobs": 1}) as probe:
             outcome = cached_outcome(self.cache, key, job)
             probe.set(hits=int(outcome is not None))
-        if outcome is not None:
+        if outcome is None:
+            self.cache.stats.misses -= 1
+        else:
             PERF.incr("runtime.cache_hit")
         return outcome
 

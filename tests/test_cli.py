@@ -82,29 +82,6 @@ class TestParser:
         assert main(["cache", "prune"]) == 2
         assert "--max-age and/or --max-bytes" in capsys.readouterr().err
 
-    def test_bench_serve_tier(self):
-        args = build_parser().parse_args(["bench", "--tier", "serve"])
-        assert args.tier == "serve"
-
-    def test_bench_cluster_tier(self):
-        args = build_parser().parse_args(["bench", "--tier", "cluster"])
-        assert args.tier == "cluster"
-
-    def test_bench_fanout_tier_knobs(self):
-        args = build_parser().parse_args(
-            ["bench", "--tier", "fanout", "--tile-workers", "4"]
-        )
-        assert args.tier == "fanout"
-        assert args.tile_workers == 4
-        # Defaults: the case's own settings apply.
-        args = build_parser().parse_args(["bench", "--tier", "fanout"])
-        assert args.tile_workers is None
-        # The flit engine is no longer a bench knob.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["bench", "--tier", "fanout", "--noc-engine", "event"]
-            )
-
     def test_simulate_tile_workers(self):
         args = build_parser().parse_args(
             ["simulate", "--tile-workers", "3"]

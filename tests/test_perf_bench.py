@@ -1,9 +1,10 @@
-"""PR-2 perf layer: PERF registry, memo caches, ceil-flit audit, bench.
+"""Perf layer: PERF registry, memo caches, ceil-flit audit.
 
 Covers the perf-instrumentation API (:mod:`repro.perf`), the shared
 tile-mapping LRU (:func:`repro.mapping.memo.map_tile`), the byte→flit
 ceiling-division audit (:func:`repro.arch.noc.analytical.ceil_flits` and
-the ejection/injection path), and the ``repro bench`` snapshot format.
+the ejection/injection path), and the stages and memo counters a cold
+then warm layer records.
 """
 
 import json
@@ -210,44 +211,14 @@ class TestCeilFlits:
 
 
 # ---------------------------------------------------------------------------
-# Bench snapshot
+# Cold / warm memo layers
 # ---------------------------------------------------------------------------
 
 
 class TestBenchSnapshot:
-    def test_run_benches_schema(self, tmp_path):
-        from repro.perf.bench import BenchCase, write_bench_json
-
-        out = tmp_path / "BENCH_t.json"
-        cases = (BenchCase("cora", "cora", 0.5),)
-        snap = write_bench_json(out, cases, repeat=1)
-        on_disk = json.loads(out.read_text())
-        assert on_disk["schema_version"] == snap["schema_version"]
-        bench = on_disk["benches"]["cora"]
-        assert bench["cold_seconds"] > 0
-        assert len(bench["warm_seconds"]) == 1
-        assert bench["warm_mean_seconds"] > 0
-        # Per-stage timings for the hot-path stages the issue names.
-        for stage in ("mapping", "traffic", "noc", "compute_count"):
-            assert on_disk["stages"][stage]["calls"] >= 1
-            assert on_disk["stages"][stage]["seconds"] >= 0
-        # Cache-hit counters present (warm repeat guarantees hits).
-        assert on_disk["counters"]["mapping.tile_cache_hit"] >= 1
-        assert on_disk["counters"]["noc.model_cache_hit"] >= 1
-        assert on_disk["counters"]["config.plan_cache_hit"] >= 1
-
-    def test_cli_bench_subcommand(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "BENCH_cli.json"
-        assert main(["bench", "--repeat", "1", "--output", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert set(data["benches"]) == {"cora", "citeseer", "pubmed"}
-        text = capsys.readouterr().out
-        assert "cache hits" in text
-
     def test_warm_runs_hit_all_memo_layers(self):
-        """Second identical simulate_layer call misses no memo layer."""
+        """A cold simulate_layer times every hot-path stage perfbench
+        reads; an identical warm call misses no memo layer."""
         from repro import AuroraSimulator, LayerDims, get_model, load_dataset
         from repro.perf.bench import clear_hot_path_caches
 
@@ -256,7 +227,13 @@ class TestBenchSnapshot:
         dims = LayerDims(graph.num_features, 32)
         clear_hot_path_caches()
         sim = AuroraSimulator()
+        PERF.reset()
         sim.simulate_layer(model, graph, dims)
+        stages = PERF.stages
+        # The stage names perfbench/layers.py attributes time to.
+        for stage in ("mapping", "traffic", "noc", "compute_count"):
+            assert stages[stage].calls >= 1
+            assert stages[stage].seconds >= 0
         PERF.reset()
         sim.simulate_layer(model, graph, dims)
         counters = PERF.counters
@@ -264,46 +241,5 @@ class TestBenchSnapshot:
         assert counters.get("noc.model_cache_miss") is None
         assert counters.get("config.plan_cache_miss") is None
         assert counters.get("mapping.tile_cache_hit", 0) >= 1
-
-    def test_dse_tier_schema(self, tmp_path):
-        """The DSE tier through write_bench_json: schema + the
-        cache-amplification invariants BENCH_9 reports."""
-        from repro.perf.bench import write_bench_json
-
-        out = tmp_path / "BENCH_d.json"
-        snap = write_bench_json(out, repeat=1, tier="dse")
-        on_disk = json.loads(out.read_text())
-        assert on_disk["tier"] == "dse"
-        assert set(on_disk["benches"]) == {"random", "sha"}
-        random_bench = on_disk["benches"]["random"]
-        assert random_bench["evaluations"] == 200
-        assert random_bench["evaluations_per_second"] > 0
-        # With-replacement sampling on the 24-point mini space: most
-        # evaluations must be cache- or dedup-served.
-        assert random_bench["cold_served_fraction"] >= 0.3
-        # A warm repeat of the same seeded search simulates nothing.
-        assert random_bench["warm_executed"] == 0
-        assert random_bench["warm_served_fraction"] == 1.0
-        assert snap["benches"]["sha"]["stopped"] == "exhausted"
-
-    def test_fanout_tier_schema(self, tmp_path):
-        """A tiny fan-out case through write_bench_json: schema + the
-        identity checks wired into _run_fanout_case."""
-        from repro.perf.bench import FanoutBenchCase, write_bench_json
-
-        out = tmp_path / "BENCH_f.json"
-        cases = (
-            FanoutBenchCase(
-                "cora-job", "cora", 0.3, array_k=8,
-                tile_capacity_bytes=48 * 1024, tile_workers=2,
-            ),
-        )
-        snap = write_bench_json(out, cases, repeat=1, tier="fanout")
-        on_disk = json.loads(out.read_text())
-        assert on_disk["tier"] == "fanout"
-        bench = on_disk["benches"]["cora-job"]
-        assert bench["num_tiles"] >= 2
-        assert bench["reference_seconds"] > 0
-        assert bench["speedup_vs_reference"] > 0
-        assert bench["cold_seconds"] > 0
-        assert snap["benches"]["cora-job"]["shards"] >= 1
+        assert counters.get("noc.model_cache_hit", 0) >= 1
+        assert counters.get("config.plan_cache_hit", 0) >= 1

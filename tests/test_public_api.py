@@ -94,6 +94,7 @@ class TestDocumentationConsistency:
                 "test_cycle_tier_performance",
                 "test_fanout_performance",
                 "test_delta_performance",
+                "test_observe_overhead",
                 "test_noc_characterization",
             ):
                 continue  # performance/infrastructure benches

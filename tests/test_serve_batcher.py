@@ -221,6 +221,9 @@ class TestCacheProbe:
         outcome, batcher = self._submit_once(cache, job)
         assert outcome.ok and not outcome.cached
         assert cache.stats.invalidations == 1
+        # The probe's evicting load and the batch's re-probe are one
+        # request: one miss, not two.
+        assert cache.stats.misses == 1
         assert batcher.batches_run == 1  # recomputed through the batch
         assert cache.stats.stores == 1  # ...and stored afresh
         warm, batcher = self._submit_once(cache, job)
@@ -235,10 +238,21 @@ class TestCacheProbe:
         outcome, batcher = self._submit_once(cache, job)
         assert outcome.ok and not outcome.cached
         assert cache.stats.corrupt == 1
+        assert cache.stats.misses == 1
         assert batcher.batches_run == 1
         assert cache.stats.stores == 1
         warm, batcher = self._submit_once(cache, job)
         assert warm.cached and batcher.batches_run == 0
+
+    def test_run_jobs_counts_a_corrupt_blob_once(self, tmp_path):
+        """Without the batcher's probe, run_jobs' own load is the miss."""
+        job = SimJob(**SMALL)
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(job_key(job))
+        path.parent.mkdir(parents=True)
+        path.write_text("{not json")
+        run_jobs([job], cache=cache)
+        assert (cache.stats.misses, cache.stats.corrupt) == (1, 1)
 
     def test_inflight_join_comes_before_the_probe(self, tmp_path):
         """A job already in flight is joined even once its blob lands."""
