@@ -50,9 +50,6 @@ __all__ = [
     "NoCStats",
     "NoCSimulator",
     "warm_route_memo",
-    "export_route_memo",
-    "install_route_memo",
-    "memo_route",
 ]
 
 _INF = 1 << 62
@@ -78,11 +75,11 @@ def warm_route_memo(
 ) -> int:
     """Precompute routes for ``(src, dst)`` pairs into the shared memo.
 
-    Hoisted route warmup: every engine built on the same topology —
-    across tiles, shards, and (via :func:`export_route_memo` /
-    :func:`install_route_memo`) worker processes — then resolves routes
-    with a dict hit instead of re-deriving them per tile.  Returns the
-    number of routes actually computed.
+    Hoisted route warmup: every engine built on the same topology in
+    this process — across tiles and in-process shards — then resolves
+    routes with a dict hit instead of re-deriving them per tile.  Pool
+    workers started by fork inherit the memo as it stood at the fork.
+    Returns the number of routes actually computed.
     """
     sig = topology.signature()
     added = 0
@@ -94,49 +91,6 @@ def warm_route_memo(
             )
             added += 1
     return added
-
-
-def export_route_memo(topo_sig=None) -> dict[tuple, tuple[int, ...]]:
-    """Snapshot the route memo (optionally one topology's slice).
-
-    The snapshot is plain tuples — picklable, so a shard planner can ship
-    it to pool workers and pay route derivation once per topology instead
-    of once per process.
-    """
-    if topo_sig is None:
-        return dict(_ROUTE_MEMO)
-    return {k: v for k, v in _ROUTE_MEMO.items() if k[0] == topo_sig}
-
-
-def install_route_memo(entries: dict[tuple, tuple[int, ...]]) -> int:
-    """Merge exported route entries into this process's memo."""
-    before = len(_ROUTE_MEMO)
-    _ROUTE_MEMO.update(entries)
-    return len(_ROUTE_MEMO) - before
-
-
-def memo_route(
-    topology: FlexibleMeshTopology,
-    src: int,
-    dst: int,
-    *,
-    allow_bypass: bool = True,
-    topo_sig: tuple | None = None,
-) -> tuple[int, ...]:
-    """One route through the shared memo, deriving (and keeping) on miss.
-
-    Callers that resolve many routes on one topology should pass a
-    precomputed ``topo_sig`` (``topology.signature()``) to skip the
-    per-call signature rebuild.
-    """
-    if topo_sig is None:
-        topo_sig = topology.signature()
-    key = (topo_sig, src, dst, allow_bypass)
-    route = _ROUTE_MEMO.get(key)
-    if route is None:
-        route = compute_route(topology, src, dst, allow_bypass=allow_bypass)
-        _ROUTE_MEMO[key] = route
-    return route
 
 
 class NoCSimulator:

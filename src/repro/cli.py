@@ -78,6 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Aurora GNN accelerator — simulator and paper reproduction",
     )
+
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("datasets", help="list the dataset registry")
@@ -100,18 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--tile-workers",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="fan a layer's independent tiles out over N worker "
         "processes (1 = serial; aurora device only)",
     )
-
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-        return value
 
     def add_runtime_flags(p: argparse.ArgumentParser, *, cache_default: bool) -> None:
         p.add_argument(

@@ -17,10 +17,6 @@ Two invariants the property tests pin:
   sharded, and either NoC engine, because the event engine is pinned
   bit-identical to the reference and per-tile work is a pure function
   of the tile.
-
-Worker processes receive the parent's NoC route memo
-(:func:`repro.arch.noc.network.export_route_memo`) so identical
-topologies never re-derive routes per shard.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from typing import Sequence
 
 from typing import TYPE_CHECKING
 
-from ..arch.noc.network import export_route_memo, install_route_memo
 from ..config import AcceleratorConfig
 from ..graphs.csr import CSRGraph
 from ..graphs.tiling import TilingPlan
@@ -87,20 +82,10 @@ def _run_cycle_shard(
     Module-level (and invoked through :func:`functools.partial`) so the
     process pool can pickle it by reference.
     """
-    if job.route_memo:
-        install_route_memo(dict(job.route_memo))
     engine = CycleTileEngine(
         config, mapping_policy=mapping_policy, noc_engine=noc_engine
     )
-    tiles = []
-    for sub in job.payloads:
-        if not isinstance(sub, CSRGraph):
-            # Shared-memory handle from the parent's GraphPlane; resolves
-            # through the worker's content-keyed graph cache.
-            from ..runtime.graphplane import resolve_handle
-
-            sub = resolve_handle(sub)
-        tiles.append(engine.run_tile(model, sub, dims).to_payload())
+    tiles = [engine.run_tile(model, sub, dims).to_payload() for sub in job.payloads]
     return {"tiles": tiles}
 
 
@@ -149,7 +134,6 @@ def run_cycle_layer(
     planner: TileShardPlanner | None = None,
     timeout: float | None = None,
     partition_signature: dict | None = None,
-    graph_plane=None,
 ) -> CycleLayerResult:
     """Execute every tile of one layer, fanned out over ``tile_workers``.
 
@@ -159,9 +143,8 @@ def run_cycle_layer(
     editing one tile recomputes only that tile.  ``partition_signature``
     carries the tiling parameters into the cache keys (defaults to the
     plan's own parameters when ``tiles`` is a
-    :class:`~repro.graphs.tiling.TilingPlan`).  With a ``graph_plane``
-    and multiple workers, cold tile subgraphs ship to workers as
-    shared-memory handles instead of pickled arrays.
+    :class:`~repro.graphs.tiling.TilingPlan`).  Cold tile subgraphs
+    ship to pool workers in the pickled shard job.
     """
     from ..runtime.shards import run_tile_shards
 
@@ -190,13 +173,6 @@ def run_cycle_layer(
         if cache is not None
         else None
     )
-    ship_via_plane = graph_plane is not None and tile_workers > 1
-
-    def build_payloads(indices):
-        return [
-            graph_plane.publish(subs[i]) if ship_via_plane else subs[i]
-            for i in indices
-        ]
     with TRACER.span(
         "cycle.layer",
         {
@@ -207,7 +183,7 @@ def run_cycle_layer(
         },
     ):
         fanout = run_tile_shards(
-            len(subs),
+            subs,
             worker_fn,
             kind="cycle",
             tile_workers=tile_workers,
@@ -215,9 +191,7 @@ def run_cycle_layer(
             tile_keys=keys,
             cache=cache,
             planner=planner,
-            route_memo=export_route_memo(),
             timeout=timeout,
-            payload_builder=build_payloads,
         )
     return CycleLayerResult(
         tiles=[CycleTileResult.from_payload(p) for p in fanout.payloads],

@@ -314,23 +314,12 @@ def _analytical_shard(job, **kwargs) -> dict:
     """Pool-worker entry for analytical tile shards.
 
     Regenerates the (deterministic) workflow and configuration unit once
-    per shard instead of pickling them, then evaluates each tile.  Tile
-    subgraphs may arrive as shared-memory handles published by the
-    parent's :class:`~repro.runtime.graphplane.GraphPlane`; they resolve
-    through the worker's content-keyed graph cache instead of the pickle
-    stream.
+    per shard instead of pickling them, then evaluates each tile from
+    its ``(subgraph, boundary, external, mapping, flows)`` payload.
     """
     kwargs["workflow"] = AdaptiveWorkflowGenerator().generate(kwargs["model"])
     kwargs["cfg_unit"] = ConfigurationUnit(kwargs["config"])
-    tiles = []
-    for sub, boundary, external, mapping, mc in job.payloads:
-        if not isinstance(sub, CSRGraph):
-            from ..runtime.graphplane import resolve_handle
-
-            sub = resolve_handle(sub)
-        tiles.append(
-            _tile_outcome(sub, boundary, external, mapping, mc, **kwargs)
-        )
+    tiles = [_tile_outcome(*payload, **kwargs) for payload in job.payloads]
     return {"tiles": tiles}
 
 
@@ -346,7 +335,6 @@ class AuroraSimulator:
         enable_combination_first: bool = False,
         tile_workers: int = 1,
         tile_cache=None,
-        graph_plane=None,
     ) -> None:
         if mapping_policy not in ("degree-aware", "hashing"):
             raise ValueError("mapping_policy must be 'degree-aware' or 'hashing'")
@@ -362,10 +350,6 @@ class AuroraSimulator:
         # serial execution (tests/test_tile_fanout.py).
         self.tile_workers = tile_workers
         self.tile_cache = tile_cache
-        # Optional repro.runtime.graphplane.GraphPlane: with multi-worker
-        # fan-out, tile subgraph arrays ship via shared memory (published
-        # once per content key) instead of the pickle stream.
-        self.graph_plane = graph_plane
         # Running reuse counters (read+reset via take_tile_stats): how
         # many tile outcomes were served from the per-tile cache vs
         # recomputed since the last snapshot.
@@ -585,8 +569,6 @@ class AuroraSimulator:
             msg_width=msg_width,
             density=density,
         )
-        ship_via_plane = self.graph_plane is not None and self.tile_workers > 1
-
         def build_payloads(indices):
             sel = [tiles[i] for i in indices]
             with TRACER.span("mapping", {"tiles": len(sel)}):
@@ -597,15 +579,7 @@ class AuroraSimulator:
                     [t.subgraph for t in sel], mappings, payload_bytes
                 )
             return [
-                (
-                    self.graph_plane.publish(t.subgraph)
-                    if ship_via_plane
-                    else t.subgraph,
-                    t.boundary_edges,
-                    t.external_vertices,
-                    m,
-                    mc,
-                )
+                (t.subgraph, t.boundary_edges, t.external_vertices, m, mc)
                 for t, m, mc in zip(sel, mappings, mcs)
             ]
 

@@ -150,7 +150,9 @@ class ProcessExecutor:
     exceeds it is reported as an error record and its stuck worker is
     terminated and reaped; jobs that had not finished by then are
     resubmitted to a fresh pool, so one hung simulation never occupies a
-    slot for the rest of the sweep.
+    slot for the rest of the sweep.  Each ``run()`` owns its pools: every
+    one is shut down or terminated before the call returns, so no worker
+    outlives it.
     """
 
     name = "process"
@@ -162,48 +164,11 @@ class ProcessExecutor:
         max_workers: int | None = None,
         *,
         timeout: float | None = None,
-        keep_alive: bool = False,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers or os.cpu_count() or 1
         self.timeout = timeout
-        # With ``keep_alive`` the worker pool persists across run() calls
-        # so process-local worker state (NoC route memos, the graph-plane
-        # resolve cache) survives between batches — the substrate of the
-        # zero-repickle path for successive mutation deltas.  A timed-out
-        # or broken pool is still terminated and replaced.
-        self.keep_alive = keep_alive
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _acquire_pool(self, size: int) -> ProcessPoolExecutor:
-        if not self.keep_alive:
-            return ProcessPoolExecutor(
-                max_workers=size, initializer=mark_pool_worker
-            )
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, initializer=mark_pool_worker
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down a kept-alive pool (no-op otherwise)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ProcessExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def run(
         self,
@@ -226,7 +191,10 @@ class ProcessExecutor:
             # Workers are marked so nested fan-out (e.g. tile sharding
             # inside a pooled job) degrades to serial instead of forking
             # grandchildren — see repro.runtime.budget.
-            pool = self._acquire_pool(min(self.max_workers, len(pending)))
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.max_workers, len(pending)),
+                initializer=mark_pool_worker,
+            )
             futures = [
                 (index, job, pool.submit(_invoke, fn, job, trace_ctx))
                 for index, job in pending
@@ -266,9 +234,7 @@ class ProcessExecutor:
                     records[index] = ExecutionRecord(job, None, value)
             if timed_out or cancelled or getattr(pool, "_broken", False):
                 _terminate_pool(pool)
-                if pool is self._pool:
-                    self._pool = None
-            elif not self.keep_alive:
+            else:
                 pool.shutdown()
             pending = survivors
         return [records[index] for index in range(len(jobs))]

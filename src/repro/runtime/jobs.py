@@ -37,16 +37,12 @@ __all__ = [
     "execute_job",
     "take_exec_meta",
     "ENV_TILE_CACHE_DIR",
-    "ENV_TILE_WORKERS",
 ]
 
 #: Directory of the per-tile result cache the job runner should use.
 #: Environment-propagated (rather than a parameter) so pool workers
 #: executing pickled jobs inherit it from the serving parent.
 ENV_TILE_CACHE_DIR = "REPRO_TILE_CACHE_DIR"
-
-#: Intra-job tile fan-out width for the analytical simulator.
-ENV_TILE_WORKERS = "REPRO_TILE_WORKERS"
 
 #: Wire-format aliases the service and CLI accept (`layers` mirrors the
 #: ``repro simulate --layers`` flag, ``device`` its ``--device``).
@@ -272,22 +268,14 @@ def take_exec_meta() -> dict | None:
     return meta
 
 
-def _tile_execution_settings():
-    """Tile cache + fan-out width from the environment (pool-inheritable)."""
-    cache = None
+def _tile_cache():
+    """The per-tile result cache named by the environment, if any."""
     root = os.environ.get(ENV_TILE_CACHE_DIR)
-    if root:
-        from .cache import ResultCache
+    if not root:
+        return None
+    from .cache import ResultCache
 
-        cache = ResultCache(root=root)
-    workers = 1
-    raw = os.environ.get(ENV_TILE_WORKERS)
-    if raw:
-        try:
-            workers = max(1, int(raw))
-        except ValueError:
-            workers = 1
-    return cache, workers
+    return ResultCache(root=root)
 
 
 def run_job(job: SimJob) -> SimulationResult:
@@ -312,12 +300,9 @@ def _run_job(job: SimJob) -> SimulationResult:
         device = BaselineAccelerator(job.baseline_traits, cfg)
         return device.simulate(model, graph, dims, strict=job.strict)
     if job.accelerator == "aurora":
-        tile_cache, tile_workers = _tile_execution_settings()
+        tile_cache = _tile_cache()
         sim = AuroraSimulator(
-            cfg,
-            mapping_policy=job.mapping,
-            tile_cache=tile_cache,
-            tile_workers=tile_workers,
+            cfg, mapping_policy=job.mapping, tile_cache=tile_cache
         )
         result = sim.simulate(model, graph, dims)
         if tile_cache is not None:

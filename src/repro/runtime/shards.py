@@ -14,8 +14,9 @@ driver:
 3. fans the shards out through the existing :mod:`repro.runtime`
    executors, propagating the caller's telemetry trace context so each
    shard's spans merge back into one request tree,
-4. recovers from crashed/timed-out shards by recomputing them serially
-   in-process (one bad worker degrades throughput, never correctness),
+4. recovers from crashed/timed-out pool shards by recomputing them
+   serially in-process (one bad worker degrades throughput, never
+   correctness),
 5. returns per-tile payloads *in tile order*.
 
 Worker-count discipline comes from :mod:`repro.runtime.budget`: the
@@ -36,7 +37,7 @@ from ..perf import PERF
 from ..telemetry import TRACER
 from .budget import BUDGET
 from .cache import ResultCache
-from .executor import ProcessExecutor, SerialExecutor
+from .executor import ExecutionRecord, ProcessExecutor
 
 __all__ = [
     "TILE_SHARD_SCHEMA_VERSION",
@@ -161,16 +162,13 @@ class TileShardJob:
     """One executor job: a shard's worth of per-tile payloads.
 
     ``payloads`` are opaque picklable per-tile job descriptions consumed
-    by the worker function; ``route_memo`` optionally carries the
-    caller's exported NoC route memo so worker processes skip route
-    derivation for topologies the parent has already seen.
+    by the worker function.
     """
 
     kind: str
     shard_index: int
     tile_indices: tuple[int, ...]
     payloads: tuple
-    route_memo: tuple | None = None
 
     def label(self) -> str:
         first, last = self.tile_indices[0], self.tile_indices[-1]
@@ -195,7 +193,6 @@ def run_tile_shards(
     tile_keys: Sequence[str | None] | None = None,
     cache: ResultCache | None = None,
     planner: TileShardPlanner | None = None,
-    route_memo: dict | None = None,
     timeout: float | None = None,
     executor=None,
     payload_builder: Callable[[list], Sequence] | None = None,
@@ -214,7 +211,9 @@ def run_tile_shards(
     construction (tile mapping, batched traffic extraction) use this so
     a mostly-warm incremental re-simulation never pays for clean tiles.
 
-    A shard whose worker crashes or times out is recomputed serially in
+    With one worker or one shard the shards run in this process, and a
+    shard that raises fails the call with its own exception.  A shard
+    whose pool worker crashes or times out is recomputed serially in
     this process — the mid-shard-crash property tests pin that the
     result is byte-identical either way.
     """
@@ -288,7 +287,6 @@ def run_tile_shards(
             else [1.0] * len(cold)
         )
         shards = planner.plan(cold_costs, workers)
-        memo_export = tuple(route_memo.items()) if route_memo else None
         jobs = [
             TileShardJob(
                 kind=kind,
@@ -297,18 +295,15 @@ def run_tile_shards(
                 payloads=tuple(
                     cold_payloads[cold[j]] for j in shard.tile_indices
                 ),
-                route_memo=memo_export,
             )
             for shard in shards
         ]
 
-        if executor is None:
-            # ``executor`` is an injection point for tests (e.g. a
-            # FakeExecutor scripting a mid-shard worker crash).
-            if workers == 1 or len(jobs) == 1:
-                executor = SerialExecutor()
-            else:
-                executor = ProcessExecutor(workers, timeout=timeout)
+        # ``executor`` is an injection point for tests (e.g. a
+        # FakeExecutor scripting a mid-shard worker crash).
+        in_process = executor is None and (workers == 1 or len(jobs) == 1)
+        if executor is None and not in_process:
+            executor = ProcessExecutor(workers, timeout=timeout)
         trace_ctx = TRACER.current_context()
         with TRACER.span(
             "tiles.fanout",
@@ -318,14 +313,19 @@ def run_tile_shards(
                 "cold": len(cold),
                 "shards": len(jobs),
                 "workers": workers,
-                "executor": executor.name,
+                "executor": "serial" if in_process else executor.name,
             },
         ):
-            records = executor.run(jobs, fn=worker_fn, trace_ctx=trace_ctx)
+            if in_process:
+                # No worker to lose, so nothing to recover: a shard that
+                # raises fails the call once, with its own exception.
+                records = [ExecutionRecord(job, worker_fn(job)) for job in jobs]
+            else:
+                records = executor.run(jobs, fn=worker_fn, trace_ctx=trace_ctx)
     finally:
         BUDGET.release("tile-fanout")
 
-    # ---- merge, recovering failed shards serially ----------------------
+    # ---- merge, recovering failed pool shards serially -----------------
     recovered = 0
     for job, record in zip(jobs, records):
         if record.ok:

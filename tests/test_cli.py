@@ -88,6 +88,10 @@ class TestParser:
         )
         assert args.tile_workers == 3
         assert build_parser().parse_args(["simulate"]).tile_workers == 1
+        for bad in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["simulate", "--tile-workers", bad])
+            assert exc.value.code == 2
 
     def test_cluster_defaults(self):
         args = build_parser().parse_args(["cluster"])

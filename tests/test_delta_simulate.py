@@ -1,10 +1,8 @@
 """Incremental re-simulation: mutation streams are bit-identical to
 from-scratch runs, dirty tiles recompute alone, and the supporting
-machinery (tile memo tier, partition-signature keys, keep-alive pools)
-behaves as documented.
+machinery (tile memo tier, partition-signature keys) behaves as
+documented.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from repro.models.workload import LayerDims
 from repro.models.zoo import get_model
 from repro.perf.bench import clear_hot_path_caches
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import ProcessExecutor
 from repro.runtime.jobs import ENV_TILE_CACHE_DIR, SimJob, execute_job
 from repro.runtime.shards import clear_tile_memo, run_tile_shards
 
@@ -194,23 +191,3 @@ class TestTileMemoTier:
         assert other.stats["cache_hits"] == 0
         assert other.stats["memo_hits"] == 0
 
-
-def _pid_task(_job):
-    return os.getpid()
-
-
-class TestKeepAlivePool:
-    def test_pool_persists_across_runs(self):
-        with ProcessExecutor(1, keep_alive=True) as pool:
-            first = [r.payload for r in pool.run([1, 2], fn=_pid_task)]
-            second = [r.payload for r in pool.run([3], fn=_pid_task)]
-            assert set(first) == set(second)  # same worker process
-            pool.close()
-            third = [r.payload for r in pool.run([4], fn=_pid_task)]
-            assert set(third) != set(first)  # fresh pool after close
-
-    def test_default_pool_is_per_run(self):
-        pool = ProcessExecutor(1)
-        first = [r.payload for r in pool.run([1], fn=_pid_task)]
-        second = [r.payload for r in pool.run([2], fn=_pid_task)]
-        assert set(first) != set(second)

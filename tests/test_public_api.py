@@ -1,6 +1,7 @@
 """Public API surface tests: exports resolve and stay importable."""
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -17,18 +18,10 @@ class TestTopLevel:
 
     @pytest.mark.parametrize(
         "module",
-        [
-            "repro.graphs",
-            "repro.models",
-            "repro.arch",
-            "repro.arch.noc",
-            "repro.mapping",
-            "repro.partition",
-            "repro.core",
-            "repro.baselines",
-            "repro.eval",
-            "repro.cli",
-        ],
+        sorted(
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ),
     )
     def test_subpackage_all_resolves(self, module):
         mod = importlib.import_module(module)

@@ -1,5 +1,7 @@
 """Tests for the pluggable job executors."""
 
+import multiprocessing
+import os
 import threading
 import time
 
@@ -31,6 +33,10 @@ def _echo(job):
 def _sleepy(job):
     time.sleep(2.0)
     return {}
+
+
+def _pid_task(_job):
+    return os.getpid()
 
 
 def _hang_on_seed_1(job):
@@ -108,6 +114,42 @@ class TestProcessPool:
         by_seed = {r.job.seed: r for r in records}
         assert not by_seed[1].ok and "timeout" in by_seed[1].error
         assert by_seed[2].ok and by_seed[3].ok
+
+
+class TestPoolLifetime:
+    """Each ``ProcessExecutor.run`` owns its pool: nothing else can shut
+    one down, so no worker may outlive the call on any path."""
+
+    def test_pool_is_per_run(self):
+        pool = ProcessExecutor(1)
+        first = [r.payload for r in pool.run([1], fn=_pid_task)]
+        second = [r.payload for r in pool.run([2], fn=_pid_task)]
+        assert set(first) != set(second)
+
+    @pytest.mark.parametrize("path", ["normal", "timeout", "cancel"])
+    def test_no_worker_outlives_run(self, path):
+        before = set(multiprocessing.active_children())
+        jobs = [SimJob(seed=s, **SMALL) for s in (1, 2)]
+        if path == "normal":
+            records = ProcessExecutor(2).run(jobs, fn=_echo)
+            assert all(r.ok for r in records)
+        elif path == "timeout":
+            records = ProcessExecutor(2, timeout=0.5).run(
+                jobs, fn=_hang_on_seed_1
+            )
+            assert "timeout" in records[0].error
+        else:
+            cancel = threading.Event()
+            timer = threading.Timer(0.3, cancel.set)
+            timer.start()
+            try:
+                records = ProcessExecutor(2, timeout=120.0).run(
+                    jobs, fn=_hang_on_seed_1, cancel=cancel
+                )
+            finally:
+                timer.cancel()
+            assert records[0].error == CANCELLED
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestFake:

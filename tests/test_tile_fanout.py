@@ -123,6 +123,19 @@ class TestRunTileShards:
         assert crashed.stats["recovered_shards"] == 1
         assert crashed.payloads == clean.payloads
 
+    def test_in_process_failing_shard_runs_once(self):
+        """Without a pool there is no worker crash to recover from: a
+        shard that raises runs once and its own exception propagates."""
+        calls = []
+
+        def failing(job):
+            calls.append(job.shard_index)
+            raise RuntimeError("shard failed")
+
+        with pytest.raises(RuntimeError, match="shard failed"):
+            run_tile_shards([1, 2, 3], failing, kind="echo", tile_workers=1)
+        assert calls == [0]
+
     def test_cache_probe_and_store(self, tmp_path):
         cache = ResultCache(tmp_path)
         payloads = [1, 2, 3, 4]
