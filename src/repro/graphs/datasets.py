@@ -14,6 +14,7 @@ cycle-tier simulator needs for tractable runs.  The analytical tier uses
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -36,10 +37,14 @@ __all__ = [
     "clear_snapshot_cache",
 ]
 
-#: Process-local snapshot memo bound: synthesizing a large dataset costs
-#: seconds, so repeated loads of the same ``(name, scale, seed)`` (every
-#: warm request of the serving path, every delta of a mutation stream)
-#: reuse one immutable snapshot.  Small: full-scale graphs are large.
+#: Process-local snapshot memo bound: repeated loads of the same
+#: ``(name, scale, seed)`` reuse one immutable snapshot.  Synthesis is
+#: still the dominant cost of a load (pubmed at scale 0.5 ~0.23 s, the
+#: five paper datasets at their sweep scales ~0.6 s on a 2-vCPU x86
+#: container), while a design-search evaluation, which loads its graph
+#: through :func:`repro.runtime.jobs.run_job`, costs ~35 ms.  Serve
+#: requests and delta bases load through it too.  Small: full-scale
+#: graphs are large.
 SNAPSHOT_CACHE_MAX = 4
 
 _SNAPSHOTS: "OrderedDict[tuple, CSRGraph]" = OrderedDict()
@@ -258,13 +263,18 @@ def load_dataset(
         scaled graph exercises the same code paths with the same per-edge
         and per-vertex behaviour.
     seed:
-        Generator seed; the default is fixed so experiment outputs are
-        reproducible run to run.
+        Non-negative integer generator seed; the default is fixed so
+        experiment outputs are reproducible run to run.
     """
     if not (0.0 < scale <= 1.0):
         raise ValueError("scale must be in (0, 1]")
+    # Normalise before the memo lookup so a warm memo answers exactly
+    # what a cold one would: 7.5 is no seed, and neither is -1.
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     prof = dataset_profile(name)
-    memo_key = (prof.name, float(scale), int(seed))
+    memo_key = (prof.name, float(scale), seed)
     cached = _SNAPSHOTS.get(memo_key)
     if cached is not None:
         _SNAPSHOTS.move_to_end(memo_key)
@@ -275,7 +285,7 @@ def load_dataset(
     graph_name = prof.name if scale == 1.0 else f"{prof.name}@{scale:g}"
     builder = _ADVERSARIAL_BUILDERS.get(prof.name)
     if builder is not None:
-        graph = builder(prof, n, m, int(seed), graph_name)
+        graph = builder(prof, n, m, seed, graph_name)
     else:
         graph = power_law_graph(
             n,

@@ -38,6 +38,19 @@ __all__ = [
 ]
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a short 1-D array the caller owns (sorted in place).
+
+    Same values as ``np.unique`` without its hash table and generic
+    dispatch, which dominate on the generator's per-vertex arrays.
+    """
+    a.sort()
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _sample_power_law_degrees(
     n: int, m: int, exponent: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -126,7 +139,9 @@ def power_law_graph(
     # Cap the tail at ~3.5·sqrt(n): real citation/social graphs have heavy
     # but bounded hubs (Cora's max degree is 168 at n=2708), while an
     # unrepaired Pareto draw can produce arbitrarily extreme outliers.
-    cap = max(16, int(3.5 * np.sqrt(num_vertices)))
+    # It never drops below the mean degree ⌈m/n⌉: with n·cap < m (e.g.
+    # ``reddit`` at scale 0.0005) the excess below has nowhere to go.
+    cap = max(16, int(3.5 * np.sqrt(num_vertices)), -(-num_edges // num_vertices))
     excess = int(np.maximum(degrees - cap, 0).sum())
     degrees = np.minimum(degrees, cap)
     while excess > 0:
@@ -144,11 +159,18 @@ def power_law_graph(
     dst_weights = np.minimum(dst_weights, cap / max(num_edges, 1))
     dst_weights /= dst_weights.sum()
 
+    # ``rng.choice(num_vertices, size, p=...)`` over these weights is
+    # exactly ``cdf.searchsorted(rng.random(size), side="right")`` over
+    # this CDF; building it once spares every vertex a re-validation and
+    # re-cumsum of the whole weight vector and draws the same stream.
+    cdf = dst_weights.cumsum()
+    cdf /= cdf[-1]
+
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     indices = np.empty(num_edges, dtype=np.int64)
-    for v in range(num_vertices):
-        d = int(degrees[v])
+    start = 0
+    for v, d in enumerate(degrees.tolist()):
         if d == 0:
             continue
         if d >= num_vertices:
@@ -157,26 +179,27 @@ def power_law_graph(
             n_local = int(round(d * locality))
             n_global = d - n_local
             # Local edges: a window around the source id (community order).
-            local = np.unique(
-                (v + rng.integers(-window, window + 1, size=4 * n_local + 4))
+            local = _unique(
+                rng.integers(v - window, v + window + 1, size=4 * n_local + 4)
                 % num_vertices
             )
-            local = rng.permutation(local)[:n_local]
+            rng.shuffle(local)
             # Global edges: preferential attachment to the hubs.
-            glob = np.unique(
-                rng.choice(
-                    num_vertices,
-                    size=min(4 * n_global + 8, num_vertices * 2),
-                    p=dst_weights,
+            glob = _unique(
+                cdf.searchsorted(
+                    rng.random(min(4 * n_global + 8, num_vertices * 2)), side="right"
                 )
             )
-            glob = rng.permutation(glob)[:n_global]
-            nbrs = np.unique(np.concatenate((local, glob)))
+            rng.shuffle(glob)
+            nbrs = _unique(np.concatenate((local[:n_local], glob[:n_global])))
             while nbrs.size < d:
-                extra = rng.choice(num_vertices, size=2 * d, p=dst_weights)
-                nbrs = np.unique(np.concatenate((nbrs, extra)))
-            nbrs = np.sort(rng.permutation(nbrs)[:d])
-        indices[indptr[v] : indptr[v + 1]] = nbrs
+                extra = cdf.searchsorted(rng.random(2 * d), side="right")
+                nbrs = _unique(np.concatenate((nbrs, extra)))
+            rng.shuffle(nbrs)
+            nbrs = nbrs[:d]
+            nbrs.sort()
+        indices[start : start + d] = nbrs
+        start += d
     return CSRGraph(
         indptr,
         indices,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -51,3 +54,25 @@ def cfg8() -> AcceleratorConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@contextmanager
+def _time_limit(seconds: float):
+    """Fail with ``TimeoutError`` if the block runs longer than ``seconds``."""
+
+    def _expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def time_limit():
+    """``with time_limit(s):`` turns a hang into a ``TimeoutError``."""
+    return _time_limit

@@ -83,3 +83,58 @@ class TestLoading:
     def test_minimum_size_floor(self):
         g = load_dataset("cora", scale=0.001)
         assert g.num_vertices >= 16
+
+    @pytest.mark.parametrize("scale", [0.0005, 0.0008])
+    def test_dense_tiny_scale_terminates(self, scale, time_limit):
+        # Reddit's mean degree (~50) exceeds 3.5·sqrt(n) here, which used
+        # to spin the hub-cap repair loop forever.
+        with time_limit(10):
+            g = load_dataset("reddit", scale=scale)
+        assert g.degrees.max() <= max(16, -(-g.num_edges // g.num_vertices))
+
+    def test_seed_must_be_an_integer(self):
+        load_dataset("cora", scale=0.1, seed=7)  # warm the snapshot memo
+        with pytest.raises(TypeError):
+            load_dataset("cora", scale=0.1, seed=7.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            load_dataset("adv-star", scale=0.1, seed=-1)
+
+    def test_numpy_integer_seed_shares_the_snapshot(self):
+        import numpy as np
+
+        assert load_dataset("cora", scale=0.1, seed=np.int64(7)) is load_dataset(
+            "cora", scale=0.1, seed=7
+        )
+
+
+class TestPinnedContent:
+    """Content keys recorded from the per-vertex ``rng.choice`` generator.
+
+    Every golden figure rests on these graphs, so a generator speed-up
+    must reproduce them bit for bit.
+    """
+
+    PINNED = {
+        ("cora", 1.0): "09d905327c05f7b7f2b207a7469f6edb",
+        ("citeseer", 1.0): "46075e7b8ad448424ba05589ee1987b2",
+        ("pubmed", 0.5): "b8c04b6d1bdb82be390f6656349fc033",
+        ("nell", 0.1): "12fc53e68e7e20069ee44972a18dfc4e",
+        ("reddit", 0.01): "c49d36116a0c604f50925654893c298d",
+        ("adv-star", 1.0): "1fddd9351064226ba56dd959053e4737",
+        ("adv-bipartite", 1.0): "665efb6d613a02c252917f91652f7d3a",
+        ("adv-hubclique", 1.0): "a69146be35ce2e24ab0845211af48d57",
+    }
+
+    def test_covers_every_dataset_at_its_sweep_scale(self):
+        from repro.eval import DEFAULT_SCALES
+        from repro.graphs import list_adversarial_datasets
+
+        expected = {*DEFAULT_SCALES.items()}
+        expected |= {(name, 1.0) for name in list_adversarial_datasets()}
+        assert set(self.PINNED) == expected
+
+    @pytest.mark.parametrize("name,scale", list(PINNED))
+    def test_content_key(self, name, scale):
+        assert load_dataset(name, scale=scale).content_key == self.PINNED[name, scale]

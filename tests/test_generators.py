@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
     chain_graph,
@@ -12,6 +14,28 @@ from repro.graphs import (
     star_graph,
     uniform_random_graph,
 )
+
+
+def _hub_cap(n, m):
+    return max(16, int(3.5 * np.sqrt(n)), -(-m // n))
+
+
+# (n, m, kwargs, seed, content_key), recorded before the per-vertex
+# ``rng.choice(p=...)`` was replaced by one CDF: the generator must keep
+# drawing the same random stream.  ``(16, 200, locality=0.6)`` takes the
+# ``d >= n`` branch 20 times and the top-up loop 58 times over seeds 0-4.
+_PINNED_CALLS = [
+    (16, 200, {"locality": 0.6}, 0, "d02109c5c09cd8d5e7c8e85bcb010f14"),
+    (16, 200, {"locality": 0.6}, 1, "10ae0972e808a2aa64c9d31229468dde"),
+    (16, 200, {"locality": 0.6}, 2, "39e2aafaf42175ae7a0773c1ef016665"),
+    (16, 200, {"locality": 0.6}, 3, "b65a7716d699ad7f5dd7e401bcba1802"),
+    (16, 200, {"locality": 0.6}, 4, "d0a95d9adc91ffba30d317df402d154b"),
+    (50, 1200, {"exponent": 1.5}, 3, "868ccc94172d79b0330ab58bb6163da4"),
+    (30, 400, {"exponent": 3.0, "locality": 0.9}, 3, "dca3813341c782162510a3baafa54920"),
+    (300, 1500, {"locality": 0.3, "locality_window": 5}, 3, "9347b3b56128039c4bfededb57cfe887"),
+    (1, 1, {}, 3, "65314057fe5480ec2e1ce129accef3d9"),
+    (20, 0, {}, 3, "5b90cb3b2a8b244c7761eef917e94d40"),
+]
 
 
 class TestPowerLaw:
@@ -78,6 +102,46 @@ class TestPowerLaw:
         assert g.num_features == 7
         assert g.feature_density == 0.5
         assert g.edge_feature_dim == 3
+
+    @pytest.mark.parametrize("n,m,kwargs,seed,key", _PINNED_CALLS)
+    def test_pinned_content_key(self, n, m, kwargs, seed, key):
+        assert power_law_graph(n, m, seed=seed, **kwargs).content_key == key
+
+
+@st.composite
+def _power_law_args(draw):
+    n = draw(st.integers(min_value=1, max_value=120))
+    m = draw(st.integers(min_value=0, max_value=n * n))
+    exponent = draw(st.floats(min_value=1.5, max_value=3.0))
+    locality = draw(st.floats(min_value=0.0, max_value=0.95))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return n, m, exponent, locality, seed
+
+
+class TestPowerLawProperties:
+    @given(args=_power_law_args())
+    @example(args=(16, 200, 2.1, 0.6, 0))
+    @example(args=(116, 5803, 1.9, 0.35, 7))
+    @example(args=(186, 9286, 1.9, 0.35, 7))
+    @example(args=(50, 2500, 1.5, 0.0, 3))
+    @example(args=(120, 120 * 120, 2.0, 0.0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_valid_csr_with_exact_budget(self, args, time_limit):
+        # The (116, 5803) and (186, 9286) examples are reddit at scales
+        # 0.0005 and 0.0008, where n·3.5·sqrt(n) < m.
+        n, m, exponent, locality, seed = args
+        with time_limit(10):
+            g = power_law_graph(n, m, exponent=exponent, locality=locality, seed=seed)
+        assert g.num_vertices == n
+        assert g.num_edges == m
+        assert g.indices.size == m
+        if m:
+            assert g.indices.min() >= 0
+            assert g.indices.max() < n
+        for v in range(n):
+            row = g.neighbors(v)
+            assert np.all(row[1:] > row[:-1])  # sorted, no duplicates
+        assert g.degrees.max(initial=0) <= _hub_cap(n, m)
 
 
 class TestRMAT:
