@@ -123,7 +123,7 @@ def test_event_engine_tile_wall_time():
     engine = CycleTileEngine(small_config(8), noc_engine="event")
     model = get_model("gin")
     dims = LayerDims(16, 8)
-    engine.run_tile(model, graph, dims)  # warm route memo + mapping memo
+    engine.run_tile(model, graph, dims)  # warm mapping memo
     t0 = time.perf_counter()
     engine.run_tile(model, graph, dims)
     assert time.perf_counter() - t0 < 0.5 * SLACK

@@ -12,7 +12,14 @@ from .multicast import MulticastSimulator, MulticastTree, build_tree
 from .network import NoCSimulator, NoCStats
 from .packet import Flit, Packet
 from .router import INJECT_PORT, Router, RouterPort
-from .routing import bypass_route, compute_route, ring_route, segment_usable, xy_route
+from .routing import (
+    bypass_choice,
+    bypass_route,
+    compute_route,
+    compute_routes,
+    ring_route,
+    xy_route,
+)
 from .topology import BypassSegment, FlexibleMeshTopology, RingConfig
 
 __all__ = [
@@ -23,6 +30,8 @@ __all__ = [
     "bypass_route",
     "ring_route",
     "compute_route",
+    "compute_routes",
+    "bypass_choice",
     "Packet",
     "Flit",
     "Router",
@@ -38,7 +47,6 @@ __all__ = [
     "DeadlockReport",
     "check_deadlock_freedom",
     "build_channel_dependency_graph",
-    "segment_usable",
     "MulticastSimulator",
     "MulticastTree",
     "build_tree",

@@ -5,7 +5,7 @@ accesses; this module is that counting model for the NoC.  Given a traffic
 matrix between PE grid positions, it computes:
 
 * hop counts per flow under XY routing, optionally improved by configured
-  bypass segments (vectorised over all flows × segments),
+  bypass segments (the routing module's vectorised bypass rule),
 * per-link loads (the drain time of a network is bounded below by its
   most-loaded link and its hottest ejection port),
 * a drain-time estimate combining the bottleneck load with the average
@@ -18,13 +18,13 @@ everything is NumPy array math.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ...config import NoCConfig
 from ...perf import PERF
+from .routing import bypass_choice
 from .topology import FlexibleMeshTopology
 
 __all__ = [
@@ -136,15 +136,9 @@ class AnalyticalNoCResult:
 class AnalyticalNoCModel:
     """Counting model over a :class:`FlexibleMeshTopology` configuration.
 
-    Instances precompute per-line bypass-segment tables once (the
-    topology is immutable for the model's lifetime); reuse across tiles
-    goes through :meth:`cached`, keyed by the topology's routing
-    :meth:`~repro.arch.noc.topology.FlexibleMeshTopology.signature`.
+    Per-flow hop counts come from :func:`~repro.arch.noc.routing.bypass_choice`,
+    the same bypass rule the flit-level tier routes packets by.
     """
-
-    #: Bounded LRU of models keyed by (topology signature, NoC config).
-    _CACHE_MAX = 128
-    _cache: "OrderedDict[tuple, AnalyticalNoCModel]" = OrderedDict()
 
     def __init__(
         self,
@@ -153,115 +147,6 @@ class AnalyticalNoCModel:
     ) -> None:
         self.topology = topology
         self.config = config or NoCConfig()
-        # Per-line segment tables: row segments grouped by their row,
-        # column segments by their column — the express-channel
-        # discipline only admits flows sourced in the segment's row
-        # (resp. destined to its column), so each flow consults at most
-        # the few segments on its own line.
-        self._row_segments_by_line: dict[int, list[tuple[int, int]]] = {}
-        self._col_segments_by_line: dict[int, list[tuple[int, int]]] = {}
-        for seg in topology.bypass_segments:
-            table = (
-                self._row_segments_by_line
-                if seg.axis == "row"
-                else self._col_segments_by_line
-            )
-            table.setdefault(seg.line, []).append((seg.start, seg.end))
-
-    @classmethod
-    def cached(
-        cls, topology: FlexibleMeshTopology, config: NoCConfig | None = None
-    ) -> "AnalyticalNoCModel":
-        """Memoized constructor: one model per routing-equivalent topology.
-
-        Safe because the model never mutates its topology and two equal
-        signatures route identically; the win is skipping the
-        segment-table rebuild for every tile of every layer.
-        """
-        key = (topology.signature(), config)
-        model = cls._cache.get(key)
-        if model is not None:
-            cls._cache.move_to_end(key)
-            PERF.incr("noc.model_cache_hit")
-            return model
-        PERF.incr("noc.model_cache_miss")
-        model = cls(topology, config)
-        cls._cache[key] = model
-        if len(cls._cache) > cls._CACHE_MAX:
-            cls._cache.popitem(last=False)
-        return model
-
-    # ------------------------------------------------------------------
-    def _hops_with_bypass(
-        self, traffic: TrafficMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-flow hop counts and per-flow bypass-hop indicator.
-
-        For each configured segment, the candidate route is
-        src → entry (XY) → exit (one bypass hop) → dst (XY); a flow takes
-        the best single-segment improvement, under ``bypass_route``'s
-        monotonic express-channel discipline (deadlock-safe usage only).
-
-        Vectorised by line: a row segment only admits flows sourced in
-        its own row and a column segment only flows destined to its own
-        column, so flows are bucketed by source row / destination column
-        once and each segment evaluates only its bucket with plain
-        comparisons (the former per-segment full-array ``np.isin`` scans
-        dominated the simulator profile).
-        """
-        sx, sy = traffic.src_x, traffic.src_y
-        dx, dy = traffic.dst_x, traffic.dst_y
-        base = (np.abs(sx - dx) + np.abs(sy - dy)).astype(np.int64)
-        best = base.copy()
-
-        if self._row_segments_by_line:
-            order = np.argsort(sy, kind="stable")
-            lines = sy[order]
-            for line, segs in self._row_segments_by_line.items():
-                lo = np.searchsorted(lines, line, side="left")
-                hi = np.searchsorted(lines, line, side="right")
-                if lo == hi:
-                    continue
-                idx = order[lo:hi]
-                bsx, bdx, bdy = sx[idx], dx[idx], dy[idx]
-                cur = best[idx]
-                dyterm = np.abs(line - bdy)
-                for start, end in segs:
-                    # entry=start → exit=end (direction +1)
-                    cand = (start - bsx) + 1 + (bdx - end) + dyterm
-                    ok = (bsx <= start) & (bdx >= end) & (cand < cur)
-                    cur = np.where(ok, cand, cur)
-                    # entry=end → exit=start (direction -1)
-                    cand = (bsx - end) + 1 + (start - bdx) + dyterm
-                    ok = (bsx >= end) & (bdx <= start) & (cand < cur)
-                    cur = np.where(ok, cand, cur)
-                best[idx] = cur
-
-        if self._col_segments_by_line:
-            order = np.argsort(dx, kind="stable")
-            lines = dx[order]
-            for line, segs in self._col_segments_by_line.items():
-                lo = np.searchsorted(lines, line, side="left")
-                hi = np.searchsorted(lines, line, side="right")
-                if lo == hi:
-                    continue
-                idx = order[lo:hi]
-                bsx, bsy, bdy = sx[idx], sy[idx], dy[idx]
-                cur = best[idx]
-                dxterm = np.abs(bsx - line)
-                for start, end in segs:
-                    # entry=start → exit=end (direction +1)
-                    cand = dxterm + (start - bsy) + 1 + (bdy - end)
-                    ok = (bsy <= start) & (bdy >= end) & (cand < cur)
-                    cur = np.where(ok, cand, cur)
-                    # entry=end → exit=start (direction -1)
-                    cand = dxterm + (bsy - end) + 1 + (start - bdy)
-                    ok = (bsy >= end) & (bdy <= start) & (cand < cur)
-                    cur = np.where(ok, cand, cur)
-                best[idx] = cur
-
-        used_bypass = best < base
-        return best, used_bypass
 
     def _link_loads(
         self,
@@ -367,7 +252,10 @@ class AnalyticalNoCModel:
         eject_flits: np.ndarray | None,
         inject_flits: np.ndarray | None,
     ) -> AnalyticalNoCResult:
-        hops, used_bypass = self._hops_with_bypass(traffic)
+        hops, seg, _ = bypass_choice(
+            self.topology, traffic.src_x, traffic.src_y, traffic.dst_x, traffic.dst_y
+        )
+        used_bypass = seg >= 0
         flit_hops = int((hops * traffic.flits).sum())
         bypass_hops = int(traffic.flits[used_bypass].sum())
         max_link, max_eject = self._link_loads(traffic, boost_nodes, boost_factor)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .routing import compute_route
+from .routing import compute_routes
 from .topology import FlexibleMeshTopology
 
 __all__ = ["DeadlockReport", "build_channel_dependency_graph", "check_deadlock_freedom"]
@@ -60,16 +60,13 @@ def build_channel_dependency_graph(
     """
     cdg = nx.DiGraph()
     n = topo.num_nodes
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            route = compute_route(topo, src, dst, allow_bypass=allow_bypass)
-            channels = list(zip(route, route[1:]))
-            for c1, c2 in zip(channels, channels[1:]):
-                cdg.add_edge(c1, c2)
-            for c in channels:
-                cdg.add_node(c)
+    pairs = [(src, dst) for src in range(n) for dst in range(n) if src != dst]
+    for route in compute_routes(topo, pairs, allow_bypass=allow_bypass):
+        channels = list(zip(route, route[1:]))
+        for c1, c2 in zip(channels, channels[1:]):
+            cdg.add_edge(c1, c2)
+        for c in channels:
+            cdg.add_node(c)
     return cdg
 
 

@@ -42,55 +42,16 @@ import numpy as np
 from ...config import NoCConfig
 from .drain import NoCDeadlockError
 from .packet import Packet
-from .routing import compute_route
+from .routing import compute_route, compute_routes
 from .stats import NoCStats
 from .topology import FlexibleMeshTopology
 
 __all__ = [
     "NoCStats",
     "NoCSimulator",
-    "warm_route_memo",
 ]
 
 _INF = 1 << 62
-
-# Routes depend only on the topology's wiring, not on simulator state, so
-# they are memoised process-wide keyed by the topology signature.  Repeated
-# calibration tiles over the same configured mesh then skip route
-# computation entirely (the dominant injection cost for multi-thousand
-# packet tiles).
-_ROUTE_MEMO: dict[tuple, tuple[int, ...]] = {}
-
-
-def _clear_route_memo() -> None:
-    """Test/benchmark hook: forget process-wide memoised routes."""
-    _ROUTE_MEMO.clear()
-
-
-def warm_route_memo(
-    topology: FlexibleMeshTopology,
-    pairs,
-    *,
-    allow_bypass: bool = True,
-) -> int:
-    """Precompute routes for ``(src, dst)`` pairs into the shared memo.
-
-    Hoisted route warmup: every engine built on the same topology in
-    this process — across tiles and in-process shards — then resolves
-    routes with a dict hit instead of re-deriving them per tile.  Pool
-    workers started by fork inherit the memo as it stood at the fork.
-    Returns the number of routes actually computed.
-    """
-    sig = topology.signature()
-    added = 0
-    for src, dst in pairs:
-        key = (sig, int(src), int(dst), allow_bypass)
-        if key not in _ROUTE_MEMO:
-            _ROUTE_MEMO[key] = compute_route(
-                topology, int(src), int(dst), allow_bypass=allow_bypass
-            )
-            added += 1
-    return added
 
 
 class NoCSimulator:
@@ -201,7 +162,6 @@ class NoCSimulator:
         self._lat_byp = (
             self.config.router_pipeline_stages + self.config.bypass_segment_latency
         )
-        self._topo_sig = self.topology.signature()
         self._route_cache.clear()
 
     def _new_port(self, router: int, upstream: int, cap: int) -> int:
@@ -234,16 +194,28 @@ class NoCSimulator:
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
+    def route_pairs(self, pairs) -> None:
+        """Route many ``(src, dst)`` pairs ahead of their injection.
+
+        One :func:`~repro.arch.noc.routing.compute_routes` call decides
+        the bypass for every pair; :meth:`inject` (with bypass allowed)
+        then finds each route in this simulator's table.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        for (src, dst), route in zip(
+            pairs.tolist(), compute_routes(self.topology, pairs)
+        ):
+            self._add_route((src, dst, True), route)
+
     def _route_id(self, src: int, dst: int, allow_bypass: bool) -> int:
         key = (src, dst, allow_bypass)
         rid = self._route_cache.get(key)
-        if rid is not None:
-            return rid
-        memo_key = (self._topo_sig, src, dst, allow_bypass)
-        route = _ROUTE_MEMO.get(memo_key)
-        if route is None:
+        if rid is None:
             route = compute_route(self.topology, src, dst, allow_bypass=allow_bypass)
-            _ROUTE_MEMO[memo_key] = route
+            rid = self._add_route(key, route)
+        return rid
+
+    def _add_route(self, key: tuple[int, int, bool], route: tuple[int, ...]) -> int:
         rid = len(self._routes)
         self._routes.append(route)
         if rid == self._route_off.size:

@@ -12,9 +12,18 @@ wrap-around), which is what the weight-stationary dataflow requires.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .topology import BypassSegment, FlexibleMeshTopology
 
-__all__ = ["xy_route", "bypass_route", "ring_route", "compute_route"]
+__all__ = [
+    "xy_route",
+    "bypass_choice",
+    "bypass_route",
+    "ring_route",
+    "compute_route",
+    "compute_routes",
+]
 
 
 def xy_route(topo: FlexibleMeshTopology, src: int, dst: int) -> tuple[int, ...]:
@@ -34,19 +43,20 @@ def xy_route(topo: FlexibleMeshTopology, src: int, dst: int) -> tuple[int, ...]:
     return tuple(route)
 
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
+def bypass_choice(
+    topo: FlexibleMeshTopology, sx, sy, dx, dy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bypass rule, vectorised over flows given by grid coordinates.
 
+    Returns per-flow ``(hops, seg, direction)``: the route's hop count,
+    the index into ``topo.bypass_segments`` of the express segment taken
+    (``-1`` for plain XY), and ``+1`` when the segment is entered at its
+    ``start`` end or ``-1`` when entered at its ``end`` (``0`` for XY).
 
-def _segment_route(
-    topo: FlexibleMeshTopology, src: int, dst: int, seg: BypassSegment
-) -> tuple[int, ...] | None:
-    """Route src → seg entry → seg exit → dst, or None if disallowed.
-
-    Bypass usage follows the *monotonic express-channel* discipline that
-    keeps the channel-dependency graph acyclic (verified by
-    :mod:`repro.arch.noc.deadlock`): the segment may only act as an
-    express link inside a dimension-ordered route, never to double back.
+    A packet takes at most one segment, and only as an express link
+    inside a dimension-ordered route (the *monotonic express-channel*
+    discipline that keeps the channel-dependency graph acyclic, verified
+    by :mod:`repro.arch.noc.deadlock`), never to double back:
 
     * Row segments: the source must sit on the segment's row, and both
       the approach and the continuation must move in the segment's
@@ -54,36 +64,73 @@ def _segment_route(
     * Column segments: the destination must sit on the segment's column
       (no x-movement after the express hop, preserving x-before-y), with
       the same monotonic-y requirement.
+
+    Both amount to the segment lying within the flow's span along the
+    segment's axis.  A usable segment of length ``L`` replaces ``L``
+    mesh hops of the XY route with one express hop, so the longest
+    usable segment wins.  It is taken only when it strictly shortens the
+    route, so plain XY wins a tie, and among equally long segments the
+    first in ``topo.bypass_segments`` order wins.
+
+    Flows are bucketed by source row (row segments) and destination
+    column (column segments), and only lines that both carry a segment
+    and hold a flow are visited, so a one-pair call stays cheap.  Row
+    segments precede column segments in ``bypass_segments`` and a line
+    keeps its segments in insertion order, so visiting by line keeps
+    that tie order.
     """
-    a, b = topo.segment_endpoints(seg)
-    sx, sy = topo.coords(src)
-    dx, dy = topo.coords(dst)
-    best: tuple[int, ...] | None = None
-    for entry, exit_ in ((a, b), (b, a)):
-        ex, ey = topo.coords(entry)
-        xx, xy_ = topo.coords(exit_)
-        if seg.axis == "row":
-            direction = _sign(xx - ex)
-            if sy != ey:
-                continue  # approach would need y-then-x (illegal turn)
-            if _sign(ex - sx) not in (0, direction):
-                continue
-            if _sign(dx - xx) not in (0, direction):
-                continue
-        else:  # column segment
-            direction = _sign(xy_ - ey)
-            if dx != ex:
-                continue  # continuation would need y-then-x (illegal turn)
-            if _sign(ey - sy) not in (0, direction):
-                continue
-            if _sign(dy - xy_) not in (0, direction):
-                continue
-        head = xy_route(topo, src, entry)  # ends at the segment entry
-        tail = xy_route(topo, exit_, dst)  # starts at the segment exit
-        route = head + (exit_,) + tail[1:]
-        if best is None or len(route) < len(best):
-            best = route
-    return best
+    sx, sy, dx, dy = (np.asarray(a, dtype=np.int64) for a in (sx, sy, dx, dy))
+    hops = np.abs(sx - dx) + np.abs(sy - dy)
+    seg = np.full(hops.shape, -1, dtype=np.int64)
+    direction = np.zeros(hops.shape, dtype=np.int64)
+    segments = topo.bypass_segments
+    by_line: dict[tuple[str, int], list[tuple[int, BypassSegment]]] = {}
+    for i, s in enumerate(segments):
+        if s.length > 1:  # a one-hop segment never beats its mesh link
+            by_line.setdefault((s.axis, s.line), []).append((i, s))
+    if not by_line or not hops.size:
+        return hops, seg, direction
+    saved = np.zeros(hops.shape, dtype=np.int64)
+    # Per axis: the flow's line, then its position along the segment's
+    # axis at the source and at the destination.
+    axes = {"row": (sy, sx, dx), "col": (dx, sy, dy)}
+    occupied: dict[str, list[int]] = {}
+    for (axis, line), members in by_line.items():
+        key, a, b = axes[axis]
+        if axis not in occupied:
+            occupied[axis] = np.bincount(key, minlength=topo.k).tolist()
+        if not occupied[axis][line]:
+            continue
+        idx = np.flatnonzero(key == line)
+        lo, hi = np.minimum(a[idx], b[idx]), np.maximum(a[idx], b[idx])
+        cur_saved, cur_seg = saved[idx], seg[idx]
+        for i, s in members:
+            ok = (lo <= s.start) & (hi >= s.end) & (s.length - 1 > cur_saved)
+            cur_saved = np.where(ok, s.length - 1, cur_saved)
+            cur_seg = np.where(ok, i, cur_seg)
+        saved[idx], seg[idx] = cur_saved, cur_seg
+    chosen = np.flatnonzero(seg >= 0)
+    if chosen.size:
+        # Entered at ``start`` exactly when the flow travels towards ``end``.
+        is_row = np.array([s.axis == "row" for s in segments])[seg[chosen]]
+        forward = np.where(
+            is_row, sx[chosen] < dx[chosen], sy[chosen] < dy[chosen]
+        )
+        direction[chosen] = np.where(forward, 1, -1)
+    return hops - saved, seg, direction
+
+
+def _express_route(
+    topo: FlexibleMeshTopology, src: int, dst: int, seg: int, direction: int
+) -> tuple[int, ...]:
+    """The route ``bypass_choice`` picked: XY, or src → entry → exit → dst."""
+    if seg < 0:
+        return xy_route(topo, src, dst)
+    a, b = topo.segment_endpoints(topo.bypass_segments[seg])
+    entry, exit_ = (a, b) if direction > 0 else (b, a)
+    head = xy_route(topo, src, entry)  # ends at the segment entry
+    tail = xy_route(topo, exit_, dst)  # starts at the segment exit
+    return head + (exit_,) + tail[1:]
 
 
 def bypass_route(
@@ -91,28 +138,14 @@ def bypass_route(
 ) -> tuple[int, ...]:
     """Shortest route considering configured bypass segments.
 
-    Evaluates the plain XY route and every single-segment bypass route,
-    returning the shortest (ties favour plain XY for determinism).  A
-    single bypass per route matches the hardware: a packet may use at most
-    one express segment, as segments are per-row/column resources.
+    Plain XY or a single-segment bypass route, as :func:`bypass_choice`
+    decides.  A single bypass per route matches the hardware: a packet
+    may use at most one express segment, as segments are per-row/column
+    resources.
     """
-    base = xy_route(topo, src, dst)
-    best = base
-    for seg in topo.bypass_segments:
-        cand = _segment_route(topo, src, dst, seg)
-        if cand is not None and len(cand) < len(best):
-            best = cand
-    return best
-
-
-def segment_usable(
-    topo: FlexibleMeshTopology,
-    src: int,
-    dst: int,
-    seg: BypassSegment,
-) -> bool:
-    """Whether the express-channel discipline lets (src → dst) use ``seg``."""
-    return _segment_route(topo, src, dst, seg) is not None
+    (sx, sy), (dx, dy) = topo.coords(src), topo.coords(dst)
+    _, seg, direction = bypass_choice(topo, [sx], [sy], [dx], [dy])
+    return _express_route(topo, src, dst, int(seg[0]), int(direction[0]))
 
 
 def ring_route(topo: FlexibleMeshTopology, src: int, dst: int) -> tuple[int, ...]:
@@ -143,6 +176,36 @@ def ring_route(topo: FlexibleMeshTopology, src: int, dst: int) -> tuple[int, ...
     return tuple(route)
 
 
+def compute_routes(
+    topo: FlexibleMeshTopology,
+    pairs,
+    *,
+    allow_bypass: bool = True,
+) -> list[tuple[int, ...]]:
+    """The RC unit over ``(src, dst)`` pairs: each pair's route by the
+    current configuration, with one :func:`bypass_choice` call deciding
+    the bypass for all of them."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and not 0 <= pairs.min() <= pairs.max() < topo.num_nodes:
+        raise ValueError(f"route endpoints outside the {topo.k}x{topo.k} mesh")
+    seg = np.full(len(pairs), -1, dtype=np.int64)
+    direction = np.zeros(len(pairs), dtype=np.int64)
+    if allow_bypass:
+        k = topo.k
+        src, dst = pairs[:, 0], pairs[:, 1]
+        _, seg, direction = bypass_choice(topo, src % k, src // k, dst % k, dst // k)
+    routes = []
+    for (src, dst), s, d in zip(pairs.tolist(), seg.tolist(), direction.tolist()):
+        ring = topo.ring_for(src)
+        if src == dst:
+            routes.append((src,))
+        elif ring is not None and topo.ring_for(dst) is ring:
+            routes.append(ring_route(topo, src, dst))
+        else:
+            routes.append(_express_route(topo, src, dst, s, d))
+    return routes
+
+
 def compute_route(
     topo: FlexibleMeshTopology,
     src: int,
@@ -150,7 +213,11 @@ def compute_route(
     *,
     allow_bypass: bool = True,
 ) -> tuple[int, ...]:
-    """The RC unit: pick the route class by the current configuration."""
+    """The RC unit: pick the route class by the current configuration.
+
+    One pair at a time (the reference engine routes each packet at
+    injection), so it skips :func:`compute_routes`' array set-up.
+    """
     if src == dst:
         return (src,)
     ring = topo.ring_for(src)

@@ -158,25 +158,6 @@ class FlexibleMeshTopology:
     def bypass_segments(self) -> list[BypassSegment]:
         return self._row_segments + self._col_segments
 
-    def signature(self) -> tuple:
-        """Hashable routing identity of the configuration.
-
-        Two topologies with equal signatures route identically (the
-        analytical model only consults ``k`` and the configured bypass
-        segments), so the signature keys the memoized
-        :meth:`repro.arch.noc.analytical.AnalyticalNoCModel.cached`
-        instances.  Must be recomputed after any reconfiguration.
-        """
-        return (
-            self.k,
-            tuple(
-                sorted(
-                    (seg.axis, seg.line, seg.start, seg.end)
-                    for seg in self._row_segments + self._col_segments
-                )
-            ),
-        )
-
     def segment_endpoints(self, segment: BypassSegment) -> tuple[int, int]:
         """Node ids bridged by a segment."""
         if segment.axis == "row":

@@ -9,7 +9,6 @@ subgraph's computation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..arch.noc.topology import FlexibleMeshTopology, RingConfig
@@ -17,7 +16,6 @@ from ..arch.pe import PEConfig, PEDatapath, datapath_for_op
 from ..config import AcceleratorConfig
 from ..mapping.base import MappingResult, PERegion
 from ..models.base import OpKind
-from ..perf import PERF
 from .controller import Workflow
 
 __all__ = ["ConfigurationPlan", "ConfigurationUnit"]
@@ -58,13 +56,6 @@ def _datapath_sequence(op_kinds: tuple[OpKind, ...]) -> tuple[PEConfig, ...]:
 class ConfigurationUnit:
     """Builds :class:`ConfigurationPlan` objects from the decisions."""
 
-    #: Bounded class-level LRU: plans are pure functions of (array
-    #: geometry, workflow, the mapping's bypass segments, regions), and
-    #: every consumer treats a plan — topology included — as read-only
-    #: after construction, so tiles with identical shapes share one plan.
-    _CACHE_MAX = 256
-    _cache: "OrderedDict[tuple, ConfigurationPlan]" = OrderedDict()
-
     def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
 
@@ -75,39 +66,7 @@ class ConfigurationUnit:
         region_a: PERegion,
         region_b: PERegion | None,
     ) -> ConfigurationPlan:
-        """Install bypass segments for A and rings for B on a fresh topology.
-
-        Memoized: the plan depends on the mapping only through its bypass
-        segments (the *shape* of the placement, not the per-vertex
-        assignment), so repeated tiles resolve to a shared cached plan.
-        """
-        key = (
-            self.config.array_k,
-            self.config.reconfiguration_cycles,
-            workflow,
-            mapping.bypass_segments,
-            region_a,
-            region_b,
-        )
-        plan = self._cache.get(key)
-        if plan is not None:
-            self._cache.move_to_end(key)
-            PERF.incr("config.plan_cache_hit")
-            return plan
-        PERF.incr("config.plan_cache_miss")
-        plan = self._configure(workflow, mapping, region_a, region_b)
-        self._cache[key] = plan
-        if len(self._cache) > self._CACHE_MAX:
-            self._cache.popitem(last=False)
-        return plan
-
-    def _configure(
-        self,
-        workflow: Workflow,
-        mapping: MappingResult,
-        region_a: PERegion,
-        region_b: PERegion | None,
-    ) -> ConfigurationPlan:
+        """Install bypass segments for A and rings for B on a fresh topology."""
         k = self.config.array_k
         topo = FlexibleMeshTopology(k)
 

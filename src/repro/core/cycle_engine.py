@@ -22,7 +22,7 @@ import numpy as np
 
 from ..arch.noc._reference import ReferenceNoCSimulator
 from ..arch.noc.drain import NoCDeadlockError
-from ..arch.noc.network import NoCSimulator, warm_route_memo
+from ..arch.noc.network import NoCSimulator
 from ..arch.pe import PE, PEConfig, PEDatapath, datapath_for_op
 from ..config import AcceleratorConfig
 from ..graphs.csr import CSRGraph
@@ -241,15 +241,13 @@ class CycleTileEngine:
                 f"budget of {self.MAX_PACKETS} — shrink the tile or use the "
                 "analytical tier"
             )
-        # Route derivation is hoisted out of the inject loop: one pass
-        # over the *unique* flow pairs fills the process-wide memo, which
-        # every later tile (and every sibling shard on this topology)
-        # then hits instead of re-deriving routes per packet.
-        if n_packets:
+        # Route derivation is hoisted out of the inject loop: the tile's
+        # *unique* flow pairs are routed in one batch, and every packet
+        # then finds its route in the simulator's table (the reference
+        # engine routes each packet at injection instead).
+        if n_packets and isinstance(sim, NoCSimulator):
             with PERF.timer("cycle.routes"):
-                warm_route_memo(
-                    plan.topology, np.unique(mc.flows[:, :2], axis=0)
-                )
+                sim.route_pairs(np.unique(mc.flows[:, :2], axis=0))
         # Spread injections over time at each source's injection rate so
         # the warm-up transient resembles steady pipelined operation.
         per_source_next: dict[int, int] = {}

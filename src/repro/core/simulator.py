@@ -202,9 +202,7 @@ def _tile_outcome(
                 noc_span.set(
                     noc_heat=[int(v) for v in heat], k=cfg.array_k
                 )
-            noc_res = AnalyticalNoCModel.cached(
-                conf.topology, cfg.noc
-            ).evaluate(
+            noc_res = AnalyticalNoCModel(conf.topology, cfg.noc).evaluate(
                 traffic,
                 boost_nodes=mapping.s_pe_nodes,
                 boost_factor=max(3.0, region_a.width / 2),
@@ -362,10 +360,6 @@ class AuroraSimulator:
         # flip this on.
         self.enable_combination_first = enable_combination_first
         self._pe_model = PECycleModel(self.config)
-        # Per-instance memo of the communication-aware row split; the
-        # inputs are pure values (graph content + workload + payload
-        # width), so repeated layers over one graph skip the row scan.
-        self._rows_cache: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     def take_tile_stats(self) -> dict:
@@ -478,12 +472,6 @@ class AuroraSimulator:
         k = cfg.array_k
         if strategy.b == 0 or wl.O_uv == 0:
             return k
-        memo_key = (graph.content_key, wl, msg_width)
-        hit = self._rows_cache.get(memo_key)
-        if hit is not None:
-            PERF.incr("partition.rows_cache_hit")
-            return hit
-        PERF.incr("partition.rows_cache_miss")
         macs = cfg.macs_per_pe
         flit_per_msg = max(
             1, -(-(msg_width * cfg.bytes_per_value) // cfg.noc.flit_bytes)
@@ -515,9 +503,7 @@ class AuroraSimulator:
         t_a = np.maximum(t_a_comp, t_a_comm)
         t_b = wl.O_uv / (b_arr * 2 * macs)
         score = np.maximum(t_a, t_b)
-        best_rows = int(rows_arr[np.argmin(score)])  # first min, like the scan
-        self._rows_cache[memo_key] = best_rows
-        return best_rows
+        return int(rows_arr[np.argmin(score)])  # first min, like the scan
 
     def _regions_from_rows(
         self, a_rows: int, strategy

@@ -10,7 +10,7 @@ hot path carries permanent, near-zero-cost instrumentation:
   layer, the NoC model, and the job runtime;
 * **counters** — integer event counts, used for the memoization layers'
   hit/miss bookkeeping (``mapping.tile_cache_hit``,
-  ``noc.model_cache_hit``, ``config.plan_cache_hit`` …).
+  ``tiling.plan_cache_hit``, ``partition.sample_cache_hit`` …).
 
 Since the telemetry subsystem landed, :class:`PerfRegistry` is a **thin
 adapter** over :mod:`repro.telemetry.metrics`: ``add_time`` observes

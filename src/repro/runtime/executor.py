@@ -134,11 +134,17 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     a fresh pool by the caller.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in processes:
         proc.terminate()
     for proc in processes:
         proc.join(timeout=5.0)
+    if manager is not None:
+        # The pool's manager thread reaps the same workers. A join above
+        # that loses that race returns before the exit code is recorded,
+        # and the worker still reads as alive, so wait for the manager.
+        manager.join(timeout=5.0)
 
 
 class ProcessExecutor:

@@ -9,8 +9,12 @@ from repro.arch.noc import (
     FlexibleMeshTopology,
     NoCSimulator,
     TrafficMatrix,
+    bypass_choice,
+    compute_routes,
 )
 from repro.config import NoCConfig
+
+from .test_noc_routing import _random_configuration
 
 
 def _traffic(flows, k, flit_bytes=16):
@@ -145,3 +149,34 @@ class TestAgreementWithFlitSim:
         model = AnalyticalNoCModel(FlexibleMeshTopology(k))
         predicted = model.evaluate(_traffic([[0, k * k - 1, 256]], k=k)).drain_cycles
         assert predicted == pytest.approx(measured, rel=0.8)
+
+
+class TestTierAgreement:
+    """The analytical model counts hops by the rule the flit tier routes by."""
+
+    @pytest.mark.parametrize("seed", range(0, 30, 3))
+    def test_analytical_hops_match_routes(self, seed):
+        topo, _ = _random_configuration(seed)
+        k, n = topo.k, topo.num_nodes
+        pairs = [
+            (src, dst)
+            for src in range(n)
+            for dst in range(n)
+            if src != dst
+            and (topo.ring_for(src) is None or topo.ring_for(src) != topo.ring_for(dst))
+        ]
+        routes = compute_routes(topo, pairs)
+        crosses = [
+            any(topo.manhattan(a, b) > 1 for a, b in zip(route, route[1:]))
+            for route in routes
+        ]
+        src, dst = np.array(pairs).T
+        hops, seg, _ = bypass_choice(topo, src % k, src // k, dst % k, dst // k)
+        assert hops.tolist() == [len(route) - 1 for route in routes]
+        assert (seg >= 0).tolist() == crosses
+        flows = np.column_stack([src, dst, np.full(src.size, 16)])
+        result = AnalyticalNoCModel(topo).evaluate(
+            TrafficMatrix.from_flows(flows, 16, k)
+        )
+        assert result.total_flit_hops == int(hops.sum())
+        assert result.bypass_flit_hops == sum(crosses)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.arch.noc import NoCDeadlockError, NoCSimulator
 from repro.arch.noc._reference import ReferenceNoCSimulator
-from repro.arch.noc.topology import FlexibleMeshTopology, RingConfig
+from repro.arch.noc.topology import BypassSegment, FlexibleMeshTopology, RingConfig
 from repro.config import NoCConfig
 
 #: The production flit engine, pinned bit-identical to the reference.
@@ -98,6 +98,25 @@ class TestEventEngineEquivalence:
         for sim in (event, reference):
             sim.inject(5, 10, 64)
         assert event.run() == reference.run()
+
+
+class TestRouteState:
+    def test_route_does_not_depend_on_process_history(self):
+        """A simulator whose topology gains a segment after construction
+        (no ``refresh_configuration``) routes over it, as the reference
+        does, even after another simulator routed the same pair on the
+        plain mesh."""
+        plain = NoCSimulator(FlexibleMeshTopology(8))
+        plain.inject(0, 7, 64)
+        plain.run()
+        topo = FlexibleMeshTopology(8)
+        event = NoCSimulator(topo)
+        reference = ReferenceNoCSimulator(topo)
+        topo.add_bypass_segment(BypassSegment("row", 0, 0, 7))
+        for sim in (event, reference):
+            sim.inject(0, 7, 64)
+        assert event.run() == reference.run()
+        assert event.cycle == reference.cycle == 7
 
 
 class TestDeadlockRegression:

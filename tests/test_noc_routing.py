@@ -1,5 +1,8 @@
 """Unit tests for NoC route computation."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.arch.noc import (
@@ -135,3 +138,80 @@ class TestComputeRoute:
 
     def test_self(self, mesh8):
         assert compute_route(mesh8, 3, 3) == (3,)
+
+
+def _random_configuration(seed):
+    """A seeded segment (and, on odd seeds, ring) configuration."""
+    rng = random.Random(seed)
+    k = 4 if seed < 22 else 8 if seed < 30 else 16
+    topo = FlexibleMeshTopology(k)
+    if seed % 2:
+        x0, y0 = rng.randrange(k - 1), rng.randrange(k)
+        topo.add_ring_region(
+            RingConfig(x0, y0, rng.randint(x0 + 2, k), rng.randint(y0 + 1, k))
+        )
+    for _ in range(rng.randint(1, k + 2)):
+        start, end = sorted(rng.sample(range(k), 2))
+        try:
+            topo.add_bypass_segment(
+                BypassSegment(rng.choice(("row", "col")), rng.randrange(k), start, end)
+            )
+        except ValueError:
+            continue  # overlaps a segment already on that wire
+    return topo, seed % 5 != 4
+
+
+def _route_digest(routes) -> str:
+    digest = hashlib.blake2b(digest_size=8)
+    for route in routes:
+        digest.update(repr(route).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedRoutes:
+    """Route digests recorded from the per-segment search ``bypass_route``
+    ran before the bypass rule became one vectorised kernel.
+
+    Every flit-level result rests on these routes, so a change to the
+    rule's implementation must reproduce them for every pair.  Seeds
+    0-29 (k = 4 and 8) route pair by pair; the k = 16 seeds 30-31 route
+    their 65,536 pairs in one ``compute_routes`` batch, since routing
+    them pair by pair takes seconds.
+    """
+
+    PINNED = {
+        0: "85c0b98d854323a7", 1: "94453acf758bd904", 2: "7f643cd7c06704e7",
+        3: "feeac8de4fb08b28", 4: "2e1cd50e22464c4e", 5: "5017e3f247829db8",
+        6: "74fd4a1f836b506b", 7: "564f2cf858cc85ef", 8: "2e1cd50e22464c4e",
+        9: "e0520f2566df65c1", 10: "85c0b98d854323a7", 11: "511069f620779ef3",
+        12: "748c2e9126d3e399", 13: "2e1cd50e22464c4e", 14: "2e1cd50e22464c4e",
+        15: "8b7709d975aeac54", 16: "3c5dc246f2f2851d", 17: "61a3a54894436a16",
+        18: "3467fa265ba2cb4b", 19: "f0002844ccf7aba3", 20: "07fcfe3392916826",
+        21: "1a39359316f35992", 22: "c10ee0b316501c10", 23: "d7f6615d8eeea6db",
+        24: "99bc0e24d35f80e0", 25: "543c85b40079da6d", 26: "419bb5ece81bcb25",
+        27: "a7832fec2c460de4", 28: "a6a7dfbe966e2611", 29: "21fa31b88ed4a143",
+        30: "54ef693dfdf37fca", 31: "6b46088a7261999c",
+    }
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_pair_route(self, seed):
+        topo, allow_bypass = _random_configuration(seed)
+        n = topo.num_nodes
+        routes = (
+            compute_route(topo, src, dst, allow_bypass=allow_bypass)
+            for src in range(n)
+            for dst in range(n)
+        )
+        assert _route_digest(routes) == self.PINNED[seed]
+
+    @pytest.mark.parametrize("seed", [30, 31])
+    def test_every_pair_route_batched(self, seed):
+        # Imported here so the pair-by-pair pins above also run against
+        # code that predates the batch API.
+        from repro.arch.noc import compute_routes
+
+        topo, allow_bypass = _random_configuration(seed)
+        n = topo.num_nodes
+        pairs = [(src, dst) for src in range(n) for dst in range(n)]
+        routes = compute_routes(topo, pairs, allow_bypass=allow_bypass)
+        assert _route_digest(routes) == self.PINNED[seed]

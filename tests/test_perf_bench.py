@@ -238,8 +238,4 @@ class TestBenchSnapshot:
         sim.simulate_layer(model, graph, dims)
         counters = PERF.counters
         assert counters.get("mapping.tile_cache_miss") is None
-        assert counters.get("noc.model_cache_miss") is None
-        assert counters.get("config.plan_cache_miss") is None
         assert counters.get("mapping.tile_cache_hit", 0) >= 1
-        assert counters.get("noc.model_cache_hit", 0) >= 1
-        assert counters.get("config.plan_cache_hit", 0) >= 1
