@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...config import NoCConfig
-from ...perf import PERF
+from ...observe.events import noc_heat_enabled
+from ...telemetry import TRACER
 from .routing import bypass_choice
 from .topology import FlexibleMeshTopology
 
@@ -234,7 +235,19 @@ class AnalyticalNoCModel:
         """
         if traffic.num_flows == 0:
             return AnalyticalNoCResult(0, 0, 0, 0.0, 0, 0, 0)
-        with PERF.timer("noc"):
+        with TRACER.span("noc") as span:
+            if span.sampled and noc_heat_enabled():
+                # Destination-router flit totals as a k×k row-major
+                # grid: the live observer's per-tile heatmap, carried
+                # home on the span (so worker-process tiles reach the
+                # serving process through the span-merge path).
+                k = self.topology.k
+                heat = np.bincount(
+                    traffic.dst_y * k + traffic.dst_x,
+                    weights=traffic.flits,
+                    minlength=k * k,
+                )
+                span.set(noc_heat=[int(v) for v in heat], k=k)
             return self._evaluate(
                 traffic,
                 boost_nodes=boost_nodes,

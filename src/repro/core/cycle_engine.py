@@ -31,7 +31,6 @@ from ..mapping.memo import map_tile
 from ..mapping.traffic import multicast_flows
 from ..models.base import GNNModel, OpKind, Phase
 from ..models.workload import LayerDims, extract_workload
-from ..perf import PERF
 from ..telemetry import TRACER
 from .configuration import ConfigurationUnit
 from .controller import AdaptiveWorkflowGenerator
@@ -210,9 +209,9 @@ class CycleTileEngine:
                 region_a = PERegion(0, 0, k, k, k)
                 region_b = None
 
-        with PERF.timer("cycle.map"), TRACER.span("cycle.map"):
+        with TRACER.span("cycle.map"):
             mapping = self._map(sub, region_a)
-        with PERF.timer("cycle.configure"), TRACER.span("cycle.configure"):
+        with TRACER.span("cycle.configure"):
             plan = ConfigurationUnit(cfg).configure(
                 workflow, mapping, region_a, region_b
             )
@@ -246,20 +245,18 @@ class CycleTileEngine:
         # then finds its route in the simulator's table (the reference
         # engine routes each packet at injection instead).
         if n_packets and isinstance(sim, NoCSimulator):
-            with PERF.timer("cycle.routes"):
+            with TRACER.span("cycle.routes"):
                 sim.route_pairs(np.unique(mc.flows[:, :2], axis=0))
         # Spread injections over time at each source's injection rate so
         # the warm-up transient resembles steady pipelined operation.
         per_source_next: dict[int, int] = {}
-        with PERF.timer("cycle.inject"):
+        with TRACER.span("cycle.inject"):
             for src, dst, nbytes in mc.flows.tolist():
                 when = per_source_next.get(src, 0)
                 sim.inject(int(src), int(dst), int(nbytes), cycle=None)
                 per_source_next[src] = when + 1
         try:
-            with PERF.timer("cycle.noc"), TRACER.span(
-                "cycle.noc", {"packets": n_packets}
-            ):
+            with TRACER.span("cycle.noc", {"packets": n_packets}):
                 stats = sim.run(max_cycles=5_000_000) if n_packets else sim.stats
         except NoCDeadlockError as err:
             raise err.with_context(
@@ -280,7 +277,7 @@ class CycleTileEngine:
             per_edge_agg = wl.O_a / sub.num_edges
         else:
             per_edge_ue = per_edge_agg = 0.0
-        with PERF.timer("cycle.pe"):
+        with TRACER.span("cycle.pe"):
             loads = mapping.communication_loads(sub.degrees)
             for node in region_a.node_ids():
                 edges_here = int(loads[node])

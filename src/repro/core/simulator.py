@@ -25,7 +25,6 @@ makes the mapping policy matter — exactly the paper's §VI-C argument.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import asdict
 from functools import partial
@@ -44,7 +43,6 @@ from ..mapping.degree_aware import ALGORITHM_CYCLES, _zorder_nodes_cached
 from ..mapping.memo import map_tile
 from ..mapping.traffic import aggregate_flows, batched_multicast_flows
 from ..models.base import GNNModel
-from ..observe.events import noc_heat_enabled
 from ..perf import PERF
 from ..telemetry import TRACER
 from ..models.workload import (
@@ -149,7 +147,7 @@ def _tile_outcome(
     dram = DRAMModel(cfg.dram)
     counters = EnergyCounters()
 
-    with PERF.timer("compute_count"):
+    with TRACER.span("compute_count"):
         wl = extract_workload(model, sub, dims)
     n_t, m_t = sub.num_vertices, sub.num_edges
     conf = cfg_unit.configure(workflow, mapping, region_a, region_b)
@@ -182,35 +180,21 @@ def _tile_outcome(
     # neighbors (reuse FIFOs forward copies).
     noc_flit_hops = 0
     if mc.flows.shape[0]:
-        with TRACER.span("noc", {"edges": m_t}) as noc_span:
-            with PERF.timer("traffic"):
-                traffic = TrafficMatrix.from_flows(
-                    aggregate_flows(mc.flows, cfg.num_pes),
-                    cfg.noc.flit_bytes,
-                    cfg.array_k,
-                )
-            if noc_heat_enabled():
-                # Destination-router flit totals as a k×k row-major
-                # grid: the live observer's per-tile heatmap, carried
-                # home on the span (so worker-process tiles reach the
-                # serving process through the span-merge path).
-                heat = np.bincount(
-                    traffic.dst_y * cfg.array_k + traffic.dst_x,
-                    weights=traffic.flits,
-                    minlength=cfg.array_k * cfg.array_k,
-                )
-                noc_span.set(
-                    noc_heat=[int(v) for v in heat], k=cfg.array_k
-                )
-            noc_res = AnalyticalNoCModel(conf.topology, cfg.noc).evaluate(
-                traffic,
-                boost_nodes=mapping.s_pe_nodes,
-                boost_factor=max(3.0, region_a.width / 2),
-                # Ceil, not floor: a partial trailing flit still occupies
-                # the ejection/injection port for a cycle.
-                eject_flits=ceil_flits(mc.eject_bytes, cfg.noc.flit_bytes),
-                inject_flits=ceil_flits(mc.inject_bytes, cfg.noc.flit_bytes),
+        with TRACER.span("traffic"):
+            traffic = TrafficMatrix.from_flows(
+                aggregate_flows(mc.flows, cfg.num_pes),
+                cfg.noc.flit_bytes,
+                cfg.array_k,
             )
+        noc_res = AnalyticalNoCModel(conf.topology, cfg.noc).evaluate(
+            traffic,
+            boost_nodes=mapping.s_pe_nodes,
+            boost_factor=max(3.0, region_a.width / 2),
+            # Ceil, not floor: a partial trailing flit still occupies
+            # the ejection/injection port for a cycle.
+            eject_flits=ceil_flits(mc.eject_bytes, cfg.noc.flit_bytes),
+            inject_flits=ceil_flits(mc.inject_bytes, cfg.noc.flit_bytes),
+        )
         noc_cycles = noc_res.drain_cycles
         noc_flit_hops = noc_res.total_flit_hops
         mesh_hops = noc_res.total_flit_hops - noc_res.bypass_flit_hops
@@ -239,32 +223,33 @@ def _tile_outcome(
         b_cycles = 0.0
 
     # ---- DRAM: tile load + boundary gathers + writeback -----------------
-    dram_t0 = time.perf_counter()
-    tile_dram_s = dram.access(
-        int(n_t * dims.in_features * cfg.bytes_per_value * density),
-        pattern=AccessPattern.SEQUENTIAL,
-    )
-    if external_vertices:
-        # Remote-feature fetches: distinct out-of-tile neighbors are
-        # pulled once *if they can be cached on chip for the tile's
-        # lifetime*.  The cacheable share is bounded by the buffer
-        # headroom; the rest is re-fetched per edge (this is why
-        # dense-feature Reddit sees the smallest gains — paper §VI-D).
-        vec_bytes = dims.in_features * cfg.bytes_per_value * density
-        unique_bytes = external_vertices * vec_bytes
-        cache_budget = cfg.onchip_bytes * 0.1
-        cache_frac = min(1.0, cache_budget / max(unique_bytes, 1.0))
-        fetch_bytes = (
-            unique_bytes * cache_frac
-            + boundary_edges * vec_bytes * (1.0 - cache_frac)
+    with TRACER.span("dram"):
+        tile_dram_s = dram.access(
+            int(n_t * dims.in_features * cfg.bytes_per_value * density),
+            pattern=AccessPattern.SEQUENTIAL,
         )
-        tile_dram_s += dram.access(int(fetch_bytes), pattern=AccessPattern.RANDOM)
-    tile_dram_s += dram.access(
-        n_t * dims.out_features * cfg.bytes_per_value,
-        pattern=AccessPattern.SEQUENTIAL,
-        write=True,
-    )
-    PERF.add_time("dram", time.perf_counter() - dram_t0)
+        if external_vertices:
+            # Remote-feature fetches: distinct out-of-tile neighbors are
+            # pulled once *if they can be cached on chip for the tile's
+            # lifetime*.  The cacheable share is bounded by the buffer
+            # headroom; the rest is re-fetched per edge (this is why
+            # dense-feature Reddit sees the smallest gains — paper §VI-D).
+            vec_bytes = dims.in_features * cfg.bytes_per_value * density
+            unique_bytes = external_vertices * vec_bytes
+            cache_budget = cfg.onchip_bytes * 0.1
+            cache_frac = min(1.0, cache_budget / max(unique_bytes, 1.0))
+            fetch_bytes = (
+                unique_bytes * cache_frac
+                + boundary_edges * vec_bytes * (1.0 - cache_frac)
+            )
+            tile_dram_s += dram.access(
+                int(fetch_bytes), pattern=AccessPattern.RANDOM
+            )
+        tile_dram_s += dram.access(
+            n_t * dims.out_features * cfg.bytes_per_value,
+            pattern=AccessPattern.SEQUENTIAL,
+            write=True,
+        )
 
     # ---- Compose the tile ------------------------------------------------
     a_seconds = max(a_cycles, noc_cycles) / freq
@@ -557,13 +542,10 @@ class AuroraSimulator:
         )
         def build_payloads(indices):
             sel = [tiles[i] for i in indices]
-            with TRACER.span("mapping", {"tiles": len(sel)}):
-                mappings = [
-                    self._map_tile(t.subgraph, region_a, policy) for t in sel
-                ]
-                mcs = batched_multicast_flows(
-                    [t.subgraph for t in sel], mappings, payload_bytes
-                )
+            mappings = [self._map_tile(t.subgraph, region_a, policy) for t in sel]
+            mcs = batched_multicast_flows(
+                [t.subgraph for t in sel], mappings, payload_bytes
+            )
             return [
                 (t.subgraph, t.boundary_edges, t.external_vertices, m, mc)
                 for t, m, mc in zip(sel, mappings, mcs)
@@ -688,7 +670,7 @@ class AuroraSimulator:
         width_ratio = msg_width / dims.in_features
 
         # -- Algorithm 2: partition the array -----------------------------
-        with PERF.timer("partition"), TRACER.span("partition"):
+        with TRACER.span("partition"):
             strategy = partition(
                 full_wl, cfg.num_pes, flops_pe_cycle * freq
             )
@@ -708,10 +690,7 @@ class AuroraSimulator:
         # claim): region B's banks stage features/weights while region A
         # computes on them through the NoC.
         capacity = int(cfg.onchip_bytes * _BUFFER_UTIL)
-        with TRACER.span("tiling"):
-            plan = tile_graph(
-                graph, capacity, bytes_per_value=cfg.bytes_per_value
-            )
+        plan = tile_graph(graph, capacity, bytes_per_value=cfg.bytes_per_value)
 
         dram = DRAMModel(cfg.dram)
         counters = EnergyCounters()

@@ -98,6 +98,12 @@ def _sample_power_law_degrees(
     return degrees
 
 
+#: Preferential top-up rounds before :func:`power_law_graph` fills a
+#: vertex's remaining neighbours uniformly.  Every registry dataset needs
+#: at most one round; the bound only stops degenerate CDFs from spinning.
+_TOP_UP_ROUNDS = 64
+
+
 def power_law_graph(
     num_vertices: int,
     num_edges: int,
@@ -192,9 +198,21 @@ def power_law_graph(
             )
             rng.shuffle(glob)
             nbrs = _unique(np.concatenate((local[:n_local], glob[:n_global])))
-            while nbrs.size < d:
+            rounds = 0
+            while nbrs.size < d and rounds < _TOP_UP_ROUNDS:
                 extra = cdf.searchsorted(rng.random(2 * d), side="right")
                 nbrs = _unique(np.concatenate((nbrs, extra)))
+                rounds += 1
+            if nbrs.size < d:
+                # The CDF mass sits on a few vertices (sparse budgets,
+                # heavy tails): draw the rest uniformly from the vertices
+                # not yet chosen instead of spinning.
+                rest = np.setdiff1d(
+                    np.arange(num_vertices), nbrs, assume_unique=True
+                )
+                nbrs = np.concatenate(
+                    (nbrs, rng.choice(rest, d - nbrs.size, replace=False))
+                )
             rng.shuffle(nbrs)
             nbrs = nbrs[:d]
             nbrs.sort()

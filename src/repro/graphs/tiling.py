@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..perf import PERF
+from ..telemetry import TRACER
 from .csr import CSRGraph
 
 __all__ = [
@@ -180,7 +181,7 @@ def tile_graph(
         PERF.incr("tiling.plan_cache_hit")
         return hit[1]
     PERF.incr("tiling.plan_cache_miss")
-    with PERF.timer("tiling"):
+    with TRACER.span("tiling"):
         plan = _incremental_plan(
             graph,
             capacity_bytes,

@@ -19,6 +19,7 @@ from collections import OrderedDict
 
 from ..graphs.csr import CSRGraph
 from ..perf import PERF
+from ..telemetry import TRACER
 from .base import MappingResult, PERegion
 from .degree_aware import degree_aware_map
 from .hashing import hashing_map
@@ -58,7 +59,7 @@ def map_tile(
         PERF.incr("mapping.tile_cache_hit")
         return hit
     PERF.incr("mapping.tile_cache_miss")
-    with PERF.timer("mapping"):
+    with TRACER.span("mapping"):
         if policy == "degree-aware":
             result = degree_aware_map(sub, region, pe_vertex_capacity=cap)
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..perf import PERF
+from ..telemetry import TRACER
 from .base import MappingResult
 
 __all__ = [
@@ -61,57 +61,9 @@ def multicast_flows(
     mapping: MappingResult,
     payload_bytes: int,
 ) -> MulticastTraffic:
-    """Tree-multicast traffic for the aggregation feature distribution."""
-    if payload_bytes < 1:
-        raise ValueError("payload_bytes must be >= 1")
-    if mapping.vertex_to_pe.size != graph.num_vertices:
-        raise ValueError("mapping does not cover the graph's vertices")
-    with PERF.timer("traffic"):
-        return _multicast_flows(graph, mapping, payload_bytes)
-
-
-def _multicast_flows(
-    graph: CSRGraph, mapping: MappingResult, payload_bytes: int
-) -> MulticastTraffic:
-    num_nodes = mapping.region.array_k ** 2
-    eject = np.zeros(num_nodes, dtype=np.int64)
-    inject = np.zeros(num_nodes, dtype=np.int64)
-    if graph.num_edges == 0:
-        return MulticastTraffic(
-            flows=np.empty((0, 3), dtype=np.int64),
-            eject_bytes=eject,
-            inject_bytes=inject,
-        )
-    src_v = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
-    )
-    dst_pe = mapping.vertex_to_pe[graph.indices]
-    src_pe = mapping.vertex_to_pe[src_v]
-    remote = src_pe != dst_pe
-    src_v, src_pe, dst_pe = src_v[remote], src_pe[remote], dst_pe[remote]
-    if src_v.size == 0:
-        return MulticastTraffic(
-            flows=np.empty((0, 3), dtype=np.int64),
-            eject_bytes=eject,
-            inject_bytes=inject,
-        )
-    # Unique (source vertex, destination PE) pairs: one delivery each.
-    key = src_v * num_nodes + dst_pe
-    _, keep = np.unique(key, return_index=True)
-    src_v, src_pe, dst_pe = src_v[keep], src_pe[keep], dst_pe[keep]
-    # Destination-set size per source vertex.
-    n_dst = np.bincount(src_v, minlength=graph.num_vertices)
-    share = np.maximum(payload_bytes // np.maximum(n_dst[src_v], 1), 1)
-    flows = np.column_stack((src_pe, dst_pe, share))
-    eject += np.bincount(dst_pe, minlength=num_nodes) * payload_bytes
-    senders = np.unique(src_v)
-    inject += (
-        np.bincount(mapping.vertex_to_pe[senders], minlength=num_nodes)
-        * payload_bytes
-    )
-    return MulticastTraffic(
-        flows=flows, eject_bytes=eject, inject_bytes=inject
-    )
+    """Tree-multicast traffic for the aggregation feature distribution
+    (one tile: a one-tile :func:`batched_multicast_flows` call)."""
+    return batched_multicast_flows([graph], [mapping], payload_bytes)[0]
 
 
 def batched_multicast_flows(
@@ -121,13 +73,12 @@ def batched_multicast_flows(
 ) -> list[MulticastTraffic]:
     """Tree-multicast traffic for *all* tiles of a layer in one pass.
 
-    Semantically identical to calling :func:`multicast_flows` per tile
-    (bit-for-bit, pinned by ``tests/test_traffic_batched.py``), but the
-    edge→flow extraction, remote filtering, and (source vertex,
-    destination PE) dedup run over a single concatenated edge array with
-    tile-composite keys — one ``np.unique`` instead of one per tile.
-    The per-call NumPy dispatch overhead, which dominates many-tile
-    plans, is paid once.
+    Each tile's entry equals a one-tile call (bit-for-bit, pinned by
+    ``tests/test_traffic_batched.py``), but the edge→flow extraction,
+    remote filtering, and (source vertex, destination PE) dedup run over
+    a single concatenated edge array with tile-composite keys — one
+    ``np.unique`` instead of one per tile.  The per-call NumPy dispatch
+    overhead, which dominates many-tile plans, is paid once.
     """
     if len(subs) != len(mappings):
         raise ValueError("need one mapping per subgraph")
@@ -135,7 +86,7 @@ def batched_multicast_flows(
         raise ValueError("payload_bytes must be >= 1")
     if not subs:
         return []
-    with PERF.timer("traffic"):
+    with TRACER.span("traffic"):
         return _batched_multicast_flows(subs, mappings, payload_bytes)
 
 

@@ -1,7 +1,7 @@
 """Perf instrumentation for the analytical tier.
 
 * :mod:`.instrumentation` — the process-global :data:`~.instrumentation.PERF`
-  registry of stage timers and cache counters;
+  view of the span-fed stage timings, plus the cache counters;
 * :mod:`.bench` — :func:`~.bench.clear_hot_path_caches`, which empties
   every memo layer before a cold measurement.
 

@@ -27,7 +27,7 @@ from ..core.results import SimulationResult
 from ..core.simulator import AuroraSimulator
 from ..graphs.datasets import dataset_profile, load_dataset
 from ..graphs.delta import EdgeDelta, apply_chain
-from ..perf import PERF
+from ..telemetry import TRACER
 from ..models.zoo import get_model
 
 __all__ = [
@@ -280,7 +280,7 @@ def _tile_cache():
 
 def run_job(job: SimJob) -> SimulationResult:
     """Execute one job with fresh simulator/device instances."""
-    with PERF.timer("runtime.job"):
+    with TRACER.span("runtime.job"):
         return _run_job(job)
 
 

@@ -530,7 +530,7 @@ class SimulationService:
     ) -> tuple[int, dict]:
         start = time.perf_counter()
         try:
-            with PERF.timer("serve.request"):
+            with TRACER.span("serve.request"):
                 # Shield: a timeout abandons *this* request, never the
                 # shared execution other single-flight waiters joined.
                 outcome, joined = await asyncio.wait_for(

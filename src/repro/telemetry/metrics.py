@@ -6,10 +6,12 @@ Prometheus data model, minus the pull protocol).  Everything is
 thread-safe: serve's executor threads, the event loop, and process-pool
 collection all report into one process-global :data:`METRICS`.
 
-The legacy :class:`repro.perf.instrumentation.PerfRegistry` is a thin
-adapter over two families in this registry (``repro_stage_seconds`` and
-``repro_events_total``), so every existing ``PERF`` call site feeds the
-same store that ``/metrics`` renders.
+Two families carry the program's instrumentation: every
+:meth:`repro.telemetry.trace.Tracer.span` observes its wall time into
+``repro_stage_seconds`` (labelled by span name), and ``PERF.incr``
+counts into ``repro_events_total``.  :class:`repro.perf.instrumentation.
+PerfRegistry` is a view over both, so stages, counters and ``/metrics``
+read one store.
 
 Histogram quantiles are *bucket-resolution estimates*: ``quantile(q)``
 returns the upper bound of the bucket containing the q-th sample, which

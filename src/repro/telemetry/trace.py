@@ -1,16 +1,24 @@
 """Structured tracing: spans, context propagation, and a bounded buffer.
 
-One request through the stack (serve → runtime → simulator) produces a
-*trace*: a tree of :class:`Span` records sharing a ``trace_id``, each
-span naming one stage (``http``, ``admission``, ``batcher``,
-``run_jobs``, ``executor.job``, ``simulate_layer``, ``mapping`` …) with
-a wall-clock start, a monotonic duration, and free-form attributes.
+The span is the program's one stage primitive.  One request through the
+stack (serve → runtime → simulator) produces a *trace*: a tree of
+:class:`Span` records sharing a ``trace_id``, each span naming one stage
+(``http``, ``admission``, ``batcher``, ``run_jobs``, ``executor.job``,
+``simulate_layer``, ``partition``, ``mapping`` …) with a wall-clock
+start, a monotonic duration, and free-form attributes.  Whether tracing
+is on or off, every span also adds its wall time to the
+``repro_stage_seconds{stage=name}`` histogram (:data:`STAGE_SECONDS`),
+which ``/metrics`` renders and ``PERF.stages`` reads — so one ``with
+TRACER.span(name)`` feeds the stage timer, the trace and (through
+:attr:`Tracer.on_span`) the live ``/observe`` event.
 
 Design constraints, in order:
 
 * **negligible cost when off** — the process-global :data:`TRACER`
-  starts disabled; :meth:`Tracer.span` then yields a shared no-op span
-  without allocating, so permanently instrumented hot paths stay hot;
+  starts disabled; :meth:`Tracer.span` then times the block (two
+  ``perf_counter`` reads and one histogram observe) and yields a shared
+  no-op span without allocating, so permanently instrumented hot paths
+  stay hot;
 * **asyncio-safe context** — the current span lives in a
   :mod:`contextvars` variable, so concurrent requests on one event loop
   each see their own ancestry, and ``asyncio.to_thread`` /
@@ -39,7 +47,20 @@ from dataclasses import dataclass, field
 
 from .metrics import METRICS
 
-__all__ = ["Span", "SpanBuffer", "Tracer", "TRACER"]
+__all__ = ["Span", "SpanBuffer", "Tracer", "TRACER", "STAGE_SECONDS"]
+
+#: Buckets for the stage-seconds histograms: per-tile stages run in the
+#: 10µs–10ms range, end-to-end jobs and requests in the 10ms–60s range.
+STAGE_BUCKETS: tuple[float, ...] = (
+    1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 60.0,
+)
+#: Wall time of every span, labelled by span name, traced or not.
+STAGE_SECONDS = METRICS.histogram(
+    "repro_stage_seconds",
+    help="Wall time per instrumented pipeline stage (every span)",
+    labelnames=("stage",),
+    buckets=STAGE_BUCKETS,
+)
 
 #: Span accounting exposed on /metrics (the buffer keeps the same
 #: numbers for /stats).  Module-level handles survive METRICS.reset()
@@ -304,15 +325,21 @@ class Tracer:
         *,
         trace_id: str | None = None,
     ):
-        """Open one span under the current context.
+        """Open one span under the current context; time it as a stage.
 
-        Roots (no active parent) draw a fresh ``trace_id`` — or adopt the
-        supplied one — and make the sampling decision for the whole
-        trace; children inherit both.  Exceptions mark the span
-        ``status="error"`` and re-raise.
+        On exit the block's wall time is observed into
+        :data:`STAGE_SECONDS` under ``name`` — also when tracing is off,
+        and also when the block raises.  Roots (no active parent) draw a
+        fresh ``trace_id`` — or adopt the supplied one — and make the
+        sampling decision for the whole trace; children inherit both.
+        Exceptions mark the span ``status="error"`` and re-raise.
         """
         if not self.enabled:
-            yield _NOOP
+            t0 = time.perf_counter()
+            try:
+                yield _NOOP
+            finally:
+                STAGE_SECONDS.labels(stage=name).observe(time.perf_counter() - t0)
             return
         parent = _CURRENT.get()
         if parent is None or parent.trace_id is None:
@@ -348,6 +375,7 @@ class Tracer:
         finally:
             _CURRENT.reset(token)
             span.duration = time.perf_counter() - (span._t0 or 0.0)
+            STAGE_SECONDS.labels(stage=name).observe(span.duration)
             if span.sampled:
                 self._record(span)
 

@@ -107,6 +107,18 @@ class TestPowerLaw:
     def test_pinned_content_key(self, n, m, kwargs, seed, key):
         assert power_law_graph(n, m, seed=seed, **kwargs).content_key == key
 
+    def test_sparse_budget_on_a_heavy_tail_finishes(self, time_limit):
+        """One vertex holds almost all of the destination CDF here, so
+        the preferential top-up could not find a second distinct
+        neighbour and looped ~594k times (seconds).  The top-up is
+        bounded and the rest is filled from the vertices not yet chosen."""
+        with time_limit(1.0):
+            g = power_law_graph(40, 5, exponent=1.5, locality=0.0, seed=40)
+        assert g.num_edges == 5
+        for v in range(g.num_vertices):
+            row = g.neighbors(v)
+            assert np.all(row[1:] > row[:-1])
+
 
 @st.composite
 def _power_law_args(draw):
@@ -125,6 +137,7 @@ class TestPowerLawProperties:
     @example(args=(186, 9286, 1.9, 0.35, 7))
     @example(args=(50, 2500, 1.5, 0.0, 3))
     @example(args=(120, 120 * 120, 2.0, 0.0, 1))
+    @example(args=(40, 5, 1.5, 0.0, 40))
     @settings(max_examples=60, deadline=None)
     def test_valid_csr_with_exact_budget(self, args, time_limit):
         # The (116, 5803) and (186, 9286) examples are reddit at scales

@@ -1,6 +1,7 @@
-"""Perf layer: PERF registry, memo caches, ceil-flit audit.
+"""Perf layer: span-fed stage timings, memo caches, ceil-flit audit.
 
-Covers the perf-instrumentation API (:mod:`repro.perf`), the shared
+Covers the perf-instrumentation API (:mod:`repro.perf`, whose stage
+timings every :meth:`~repro.telemetry.Tracer.span` feeds), the shared
 tile-mapping LRU (:func:`repro.mapping.memo.map_tile`), the byte→flit
 ceiling-division audit (:func:`repro.arch.noc.analytical.ceil_flits` and
 the ejection/injection path), and the stages and memo counters a cold
@@ -17,52 +18,66 @@ from repro.graphs.generators import power_law_graph, uniform_random_graph
 from repro.mapping.base import PERegion
 from repro.mapping.degree_aware import degree_aware_map
 from repro.mapping.memo import MAPPING_CACHE_MAX, clear_mapping_cache, map_tile
-from repro.perf import PERF, PerfRegistry
+from repro.perf import PERF
+from repro.telemetry import Tracer
 
 
 # ---------------------------------------------------------------------------
-# PerfRegistry API
+# Stage timings (span-fed) and counters
 # ---------------------------------------------------------------------------
 
 
 class TestPerfRegistry:
+    def setup_method(self):
+        PERF.reset()
+
     def test_timer_accumulates(self):
-        reg = PerfRegistry()
-        with reg.timer("stage"):
+        """Every span times its stage: two spans, two observations."""
+        tracer = Tracer()
+        with tracer.span("stage"):
             pass
-        with reg.timer("stage"):
+        with tracer.span("stage"):
             pass
-        assert reg.stages["stage"].calls == 2
-        assert reg.stages["stage"].seconds >= 0.0
+        assert PERF.stages["stage"].calls == 2
+        assert PERF.stages["stage"].seconds >= 0.0
 
     def test_timer_records_on_exception(self):
-        reg = PerfRegistry()
-        with pytest.raises(RuntimeError):
-            with reg.timer("boom"):
-                raise RuntimeError("x")
-        assert reg.stages["boom"].calls == 1
+        for enabled in (False, True):
+            tracer = Tracer(enabled=enabled)
+            with pytest.raises(RuntimeError):
+                with tracer.span("boom"):
+                    raise RuntimeError("x")
+            statuses = [s.status for s in tracer.buffer.spans()]
+            assert statuses == (["error"] if enabled else [])
+        assert PERF.stages["boom"].calls == 2
+
+    def test_disabled_tracer_still_times(self):
+        tracer = Tracer(enabled=False)
+        with tracer.span("stage") as span:
+            assert span.sampled is False  # the shared no-op span
+        assert PERF.stages["stage"].calls == 1
+        assert len(tracer.buffer) == 0
+
+    def test_traced_and_untraced_spans_feed_one_stage(self):
+        with Tracer(enabled=False).span("stage"):
+            pass
+        with Tracer(enabled=True).span("stage") as span:
+            pass
+        stat = PERF.stages["stage"]
+        assert stat.calls == 2 and stat.seconds >= span.duration
 
     def test_counters_and_reset(self):
-        reg = PerfRegistry()
-        reg.incr("hits")
-        reg.incr("hits", 4)
-        assert reg.counters["hits"] == 5
-        reg.reset()
-        assert reg.counters == {} and reg.stages == {}
-
-    def test_disabled_registry_is_inert(self):
-        reg = PerfRegistry(enabled=False)
-        with reg.timer("stage"):
-            pass
-        reg.incr("hits")
-        assert reg.stages == {} and reg.counters == {}
+        PERF.incr("hits")
+        PERF.incr("hits", 4)
+        assert PERF.counters["hits"] == 5
+        PERF.reset()
+        assert PERF.counters == {} and PERF.stages == {}
 
     def test_snapshot_is_json_serialisable(self):
-        reg = PerfRegistry()
-        with reg.timer("a"):
+        with Tracer().span("a"):
             pass
-        reg.incr("b", 2)
-        snap = reg.snapshot()
+        PERF.incr("b", 2)
+        snap = PERF.snapshot()
         parsed = json.loads(json.dumps(snap))
         assert parsed["stages"]["a"]["calls"] == 1
         assert parsed["counters"]["b"] == 2

@@ -1,103 +1,117 @@
-"""PerfRegistry under concurrency: no lost updates, no torn snapshots.
+"""Span-fed stage timings under concurrency: no lost updates, no torn reads.
 
-Serve drives the simulator from executor threads, so ``PERF.add_time``
-and ``PERF.incr`` race with each other and with ``snapshot()`` reads
-from the stats endpoint.  These tests hammer a private registry from
-many threads and assert (a) every update lands and (b) a concurrent
-reader never observes a ``calls``/``seconds`` pair that is internally
-inconsistent.
+Serve drives the simulator from executor threads, so spans (which time
+their stage into ``repro_stage_seconds`` on exit) and ``PERF.incr`` race
+with each other and with ``snapshot()`` reads from the stats endpoint.
+These tests hammer the stage family from many threads, through traced
+and untraced tracers, and assert (a) every observation lands and (b) a
+concurrent reader never observes a histogram whose count disagrees with
+its buckets.
 """
 
+import sys
 import threading
 
-from repro.perf.instrumentation import PerfRegistry
+from repro.perf import PERF
+from repro.telemetry import Tracer
+from repro.telemetry.trace import STAGE_SECONDS
 
 WORKERS = 8
-N = 5_000
+N = 2_000
+
+
+def run_threads(targets) -> None:
+    """Run every target on its own thread with frequent thread switches."""
+    threads = [threading.Thread(target=t) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 class TestConcurrentWrites:
-    def test_add_time_loses_no_updates(self):
-        perf = PerfRegistry()
+    def setup_method(self):
+        PERF.reset()
 
-        def pump(w: int) -> None:
-            stage = f"stage{w % 2}"
-            for _ in range(N):
-                perf.add_time(stage, 1e-6)
+    def test_concurrent_spans_lose_no_observation(self):
+        traced, untraced = Tracer(enabled=True), Tracer(enabled=False)
 
-        threads = [
-            threading.Thread(target=pump, args=(w,)) for w in range(WORKERS)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        total_calls = sum(s.calls for s in perf.stages.values())
-        total_seconds = sum(s.seconds for s in perf.stages.values())
-        assert total_calls == WORKERS * N
-        assert abs(total_seconds - WORKERS * N * 1e-6) < 1e-9 * WORKERS * N
+        def pump(w: int):
+            tracer = traced if w % 2 else untraced
+            stage = f"stage{w % 3}"
 
-    def test_incr_loses_no_updates(self):
-        perf = PerfRegistry()
+            def run() -> None:
+                for _ in range(N):
+                    with tracer.span(stage):
+                        pass
 
-        def pump(w: int) -> None:
-            event = f"event{w % 3}"
-            for _ in range(N):
-                perf.incr(event)
+            return run
 
-        threads = [
-            threading.Thread(target=pump, args=(w,)) for w in range(WORKERS)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(perf.counters.values()) == WORKERS * N
+        run_threads([pump(w) for w in range(WORKERS)])
+        stages = PERF.stages
+        assert sum(s.calls for s in stages.values()) == WORKERS * N
+        assert all(s.seconds >= 0.0 for s in stages.values())
+        assert traced.buffer.stats()["total"] == WORKERS // 2 * N
 
     def test_timer_contextmanager_concurrent(self):
-        perf = PerfRegistry()
+        tracer = Tracer()
         rounds = 500
 
         def pump() -> None:
             for _ in range(rounds):
-                with perf.timer("stage"):
+                with tracer.span("stage"):
                     pass
 
-        threads = [threading.Thread(target=pump) for _ in range(WORKERS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert perf.stages["stage"].calls == WORKERS * rounds
+        run_threads([pump] * WORKERS)
+        assert PERF.stages["stage"].calls == WORKERS * rounds
+
+    def test_incr_loses_no_updates(self):
+        def pump(w: int):
+            def run() -> None:
+                for _ in range(N):
+                    PERF.incr(f"event{w % 3}")
+
+            return run
+
+        run_threads([pump(w) for w in range(WORKERS)])
+        assert sum(PERF.counters.values()) == WORKERS * N
 
 
 class TestConcurrentReads:
+    def setup_method(self):
+        PERF.reset()
+
     def test_snapshot_never_torn(self):
-        """A reader sees calls/seconds advance together: each observation
-        adds exactly one call and exactly 1µs, so at any instant
-        ``seconds ≈ calls × 1µs``.  A torn read (count updated, sum not)
-        would break the equality beyond float noise."""
-        perf = PerfRegistry()
+        """A reader's count/sum pair comes from one locked read: the
+        histogram's buckets always add up to its count."""
+        tracer = Tracer()
         stop = threading.Event()
         failures: list[str] = []
 
         def writer() -> None:
             while not stop.is_set():
-                perf.add_time("s", 1e-6)
-                perf.incr("e")
+                with tracer.span("s"):
+                    pass
+                PERF.incr("e")
 
         def reader() -> None:
             while not stop.is_set():
-                snap = perf.snapshot()
-                stage = snap["stages"].get("s")
-                if stage is None:
-                    continue
-                expected = stage["calls"] * 1e-6
-                if abs(stage["seconds"] - expected) > 1e-6 + 1e-9 * stage["calls"]:
+                state = STAGE_SECONDS.labels(stage="s").as_dict()
+                binned = sum(state["buckets"].values()) + state["overflow"]
+                if binned != state["count"] or state["sum"] < 0.0:
                     failures.append(
-                        f"torn pair: calls={stage['calls']} "
-                        f"seconds={stage['seconds']}"
+                        f"torn read: count={state['count']} binned={binned}"
                     )
+                    return
+                stage = PERF.snapshot()["stages"].get("s")
+                if stage is not None and (stage["calls"] < 0 or stage["seconds"] < 0):
+                    failures.append(f"negative stage: {stage}")
                     return
 
         writers = [threading.Thread(target=writer) for _ in range(4)]
@@ -115,20 +129,21 @@ class TestConcurrentReads:
         assert failures == []
 
     def test_reset_during_writes_keeps_invariants(self):
-        perf = PerfRegistry()
+        tracer = Tracer()
         stop = threading.Event()
 
         def writer() -> None:
             while not stop.is_set():
-                perf.add_time("s", 1e-6)
+                with tracer.span("s"):
+                    pass
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
         for t in threads:
             t.start()
         try:
             for _ in range(50):
-                perf.reset()
-                snap = perf.snapshot()["stages"].get("s")
+                PERF.reset()
+                snap = PERF.snapshot()["stages"].get("s")
                 if snap is not None:
                     assert snap["calls"] >= 0
                     assert snap["seconds"] >= 0.0

@@ -1,9 +1,10 @@
 """End-to-end telemetry through the serve stack.
 
 One ``/simulate`` request must yield a single span tree
-(``http → admission, batcher → batch → run_jobs → executor.job →
-simulate_layer → {partition, tiling, mapping, noc}``; a warm cache hit
-is just ``http → admission, cache.probe``), exposed over
+(``http → admission, serve.request → batcher → batch → run_jobs →
+executor.job → runtime.job → simulate_layer → {partition, tiling,
+mapping, traffic, noc, …}``; a warm cache hit is just ``http →
+admission, serve.request → cache.probe``), exposed over
 ``/trace``, renderable as valid Chrome-trace JSON, alongside a
 parseable Prometheus ``/metrics`` endpoint and a telemetry section in
 ``/stats``.
@@ -14,6 +15,7 @@ import time
 
 import pytest
 
+from repro.perf.bench import clear_hot_path_caches
 from repro.runtime import ResultCache
 from repro.serve.client import ServeClient
 from repro.serve.server import LatencyWindow, ServerThread, SimulationService
@@ -40,6 +42,8 @@ def traced_server():
 class TestRequestTree:
     def test_single_request_single_tree(self, traced_server):
         client, _ = traced_server
+        # The tiling and mapping spans time their memos' miss paths.
+        clear_hot_path_caches()
         payload = client.simulate(SMALL)
         trace_id = payload["trace_id"]
         assert trace_id
@@ -60,6 +64,8 @@ class TestRequestTree:
             "partition",
             "tiling",
             "mapping",
+            "traffic",
+            "noc",
         } <= names
 
         roots = [s for s in spans if s.parent_id is None]
@@ -154,8 +160,9 @@ class TestWarmHitTree:
         )
         assert tree == [
             ("admission", "http"),
-            ("cache.probe", "http"),
+            ("cache.probe", "serve.request"),
             ("http", None),
+            ("serve.request", "http"),
         ]
         probe = next(s for s in warm_spans if s.name == "cache.probe")
         assert probe.attributes["hits"] == 1
