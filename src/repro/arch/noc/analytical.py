@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...arrays import group_sum
 from ...config import NoCConfig
 from ...observe.events import noc_heat_enabled
 from ...telemetry import TRACER
@@ -89,30 +90,32 @@ class TrafficMatrix:
         """
         flows = np.asarray(flows, dtype=np.int64)
         if flows.size == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return TrafficMatrix(z, z, z, z, z)
+            flows = flows.reshape(0, 3)
         if flows.ndim != 2 or flows.shape[1] != 3:
             raise ValueError("flows must be (n, 3): src, dst, bytes")
-        mask = flows[:, 0] != flows[:, 1]
-        flows = flows[mask]
-        if flows.shape[0] == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return TrafficMatrix(z, z, z, z, z)
-        key = flows[:, 0] * (k * k) + flows[:, 1]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        byts = flows[order, 2]
-        uniq, starts = np.unique(key, return_index=True)
-        sums = np.add.reduceat(byts, starts)
-        src = uniq // (k * k)
-        dst = uniq % (k * k)
-        flits = np.maximum(1, -(-sums // flit_bytes))
+        flows = flows[flows[:, 0] != flows[:, 1]]
+        kk = k * k
+        key, sums = group_sum(flows[:, 0] * kk + flows[:, 1], flows[:, 2])
+        return TrafficMatrix.from_pairs(
+            key // kk, key % kk, sums, flit_bytes, k
+        )
+
+    @staticmethod
+    def from_pairs(
+        src: np.ndarray,
+        dst: np.ndarray,
+        nbytes: np.ndarray,
+        flit_bytes: int,
+        k: int,
+    ) -> "TrafficMatrix":
+        """Build from already-merged int64 ``(src_node, dst_node, bytes)``
+        columns: at least one flit per pair, partial flits round up."""
         return TrafficMatrix(
-            src_x=(src % k).astype(np.int64),
-            src_y=(src // k).astype(np.int64),
-            dst_x=(dst % k).astype(np.int64),
-            dst_y=(dst // k).astype(np.int64),
-            flits=flits.astype(np.int64),
+            src_x=src % k,
+            src_y=src // k,
+            dst_x=dst % k,
+            dst_y=dst // k,
+            flits=np.maximum(1, ceil_flits(nbytes, flit_bytes)),
         )
 
 
@@ -154,6 +157,7 @@ class AnalyticalNoCModel:
         traffic: TrafficMatrix,
         boost_nodes: tuple[int, ...] = (),
         boost_factor: float = 3.0,
+        eject_flits: np.ndarray | None = None,
     ) -> tuple[int, int]:
         """(max mesh-link load, max ejection load) in flits, XY routing.
 
@@ -161,44 +165,41 @@ class AnalyticalNoCModel:
         as additional ejection lanes, and their row mates pre-merge
         partial reductions through their reuse FIFOs (the paper's extra
         injection/ejection bandwidth for high-degree vertices), so their
-        ejection load is divided by ``boost_factor``.
+        ejection load is divided by ``boost_factor``.  The ejection load
+        is ``eject_flits`` per node when given, else the traffic's own
+        per-destination flits.
 
         Horizontal crossings happen in the source row; vertical crossings
         in the destination column.  Range accumulation uses the standard
-        difference-array trick per row/column.
+        difference-array trick per row/column, the arrays built by
+        weighted ``bincount`` (float64 sums of integers are exact below
+        2**53).  A flow that does not cross a row (column) adds and
+        subtracts its flits at the same entry, so it needs no mask.
         """
         k = self.topology.k
         sx, sy = traffic.src_x, traffic.src_y
         dx, dy = traffic.dst_x, traffic.dst_y
         fl = traffic.flits
+        kk = k * k
 
-        # Horizontal links: K rows × (K-1) boundaries.
-        h = np.zeros((k, k), dtype=np.int64)  # diff array per row
-        lo = np.minimum(sx, dx)
-        hi = np.maximum(sx, dx)
-        horiz = hi > lo
-        if np.any(horiz):
-            np.add.at(h, (sy[horiz], lo[horiz]), fl[horiz])
-            np.subtract.at(h, (sy[horiz], hi[horiz]), fl[horiz])
-        h_loads = np.cumsum(h, axis=1)[:, : k - 1]
+        def spans(line, a, b):
+            # Per-line diff arrays: +flits at the span's low end, -flits
+            # at its high end, one line (row/column) per k entries.
+            line = line * k
+            diff = np.bincount(
+                line + np.minimum(a, b), weights=fl, minlength=kk
+            ) - np.bincount(line + np.maximum(a, b), weights=fl, minlength=kk)
+            return np.cumsum(diff.astype(np.int64).reshape(k, k), axis=1)[
+                :, : k - 1
+            ]
 
-        v = np.zeros((k, k), dtype=np.int64)  # diff array per column
-        lo = np.minimum(sy, dy)
-        hi = np.maximum(sy, dy)
-        vert = hi > lo
-        if np.any(vert):
-            np.add.at(v, (dx[vert], lo[vert]), fl[vert])
-            np.subtract.at(v, (dx[vert], hi[vert]), fl[vert])
-        v_loads = np.cumsum(v, axis=1)[:, : k - 1]
-
-        eject = np.zeros(k * k, dtype=np.float64)
-        np.add.at(eject, dy * k + dx, fl)
-        if boost_nodes:
-            idx = np.asarray(boost_nodes, dtype=np.int64)
-            eject[idx] /= max(boost_factor, 1.0)
-
+        h_loads = spans(sy, sx, dx)  # K rows × (K-1) boundaries
+        v_loads = spans(dx, sy, dy)  # K columns × (K-1) boundaries
         max_link = int(max(h_loads.max(initial=0), v_loads.max(initial=0)))
-        return max_link, int(eject.max(initial=0.0))
+
+        if eject_flits is None:
+            eject_flits = np.bincount(dy * k + dx, weights=fl, minlength=kk)
+        return max_link, self._boosted_max(eject_flits, boost_nodes, boost_factor)
 
     @staticmethod
     def _boosted_max(
@@ -271,9 +272,9 @@ class AnalyticalNoCModel:
         used_bypass = seg >= 0
         flit_hops = int((hops * traffic.flits).sum())
         bypass_hops = int(traffic.flits[used_bypass].sum())
-        max_link, max_eject = self._link_loads(traffic, boost_nodes, boost_factor)
-        if eject_flits is not None:
-            max_eject = self._boosted_max(eject_flits, boost_nodes, boost_factor)
+        max_link, max_eject = self._link_loads(
+            traffic, boost_nodes, boost_factor, eject_flits
+        )
         max_inject = 0
         if inject_flits is not None:
             max_inject = self._boosted_max(inject_flits, boost_nodes, boost_factor)
@@ -285,7 +286,7 @@ class AnalyticalNoCModel:
         relieved = max(max_link - bypass_hops, int(0.3 * max_link))
         bottleneck = max(relieved, max_eject, max_inject)
         per_hop = self.config.router_pipeline_stages + self.config.link_latency
-        avg_hops = float((hops * traffic.flits).sum() / traffic.total_flits)
+        avg_hops = flit_hops / traffic.total_flits
         avg_base_latency = avg_hops * per_hop
         drain = int(round(bottleneck + avg_base_latency)) + per_hop
         return AnalyticalNoCResult(

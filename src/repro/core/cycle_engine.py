@@ -241,12 +241,12 @@ class CycleTileEngine:
                 "analytical tier"
             )
         # Route derivation is hoisted out of the inject loop: the tile's
-        # *unique* flow pairs are routed in one batch, and every packet
+        # aggregated flow pairs are routed in one batch, and every packet
         # then finds its route in the simulator's table (the reference
         # engine routes each packet at injection instead).
         if n_packets and isinstance(sim, NoCSimulator):
             with TRACER.span("cycle.routes"):
-                sim.route_pairs(np.unique(mc.flows[:, :2], axis=0))
+                sim.route_pairs(mc.pairs[:, :2])
         # Spread injections over time at each source's injection rate so
         # the warm-up transient resembles steady pipelined operation.
         per_source_next: dict[int, int] = {}

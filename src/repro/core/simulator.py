@@ -33,7 +33,7 @@ import numpy as np
 
 from ..arch.dram import AccessPattern, DRAMModel
 from ..arch.energy import EnergyCounters, EnergyModel, EnergyTable
-from ..arch.noc.analytical import AnalyticalNoCModel, TrafficMatrix, ceil_flits
+from ..arch.noc.analytical import AnalyticalNoCModel
 from ..arch.pe import PECycleModel
 from ..config import AcceleratorConfig, default_config
 from ..graphs.csr import CSRGraph
@@ -41,7 +41,7 @@ from ..graphs.tiling import tile_graph
 from ..mapping.base import MappingResult, PERegion
 from ..mapping.degree_aware import ALGORITHM_CYCLES, _zorder_nodes_cached
 from ..mapping.memo import map_tile
-from ..mapping.traffic import aggregate_flows, batched_multicast_flows
+from ..mapping.traffic import batched_multicast_flows
 from ..models.base import GNNModel
 from ..perf import PERF
 from ..telemetry import TRACER
@@ -179,21 +179,16 @@ def _tile_outcome(
     # injected once and replicated toward every PE that hosts one of its
     # neighbors (reuse FIFOs forward copies).
     noc_flit_hops = 0
-    if mc.flows.shape[0]:
+    if mc.pairs.shape[0]:
         with TRACER.span("traffic"):
-            traffic = TrafficMatrix.from_flows(
-                aggregate_flows(mc.flows, cfg.num_pes),
-                cfg.noc.flit_bytes,
-                cfg.array_k,
-            )
+            traffic = mc.matrix(cfg.noc.flit_bytes, cfg.array_k)
+            eject_flits, inject_flits = mc.port_flits(cfg.noc.flit_bytes)
         noc_res = AnalyticalNoCModel(conf.topology, cfg.noc).evaluate(
             traffic,
             boost_nodes=mapping.s_pe_nodes,
             boost_factor=max(3.0, region_a.width / 2),
-            # Ceil, not floor: a partial trailing flit still occupies
-            # the ejection/injection port for a cycle.
-            eject_flits=ceil_flits(mc.eject_bytes, cfg.noc.flit_bytes),
-            inject_flits=ceil_flits(mc.inject_bytes, cfg.noc.flit_bytes),
+            eject_flits=eject_flits,
+            inject_flits=inject_flits,
         )
         noc_cycles = noc_res.drain_cycles
         noc_flit_hops = noc_res.total_flit_hops

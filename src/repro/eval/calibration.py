@@ -109,14 +109,14 @@ def run_calibration_job(job: CalibrationJob) -> dict:
     worker startup should not drag the whole evaluation stack in before
     it is needed.
     """
-    from ..arch.noc.analytical import AnalyticalNoCModel, TrafficMatrix
+    from ..arch.noc.analytical import AnalyticalNoCModel
     from ..arch.noc.topology import FlexibleMeshTopology
     from ..config import small_config
     from ..core.cycle_engine import CycleTileEngine
     from ..graphs.generators import power_law_graph
     from ..mapping.base import PERegion
     from ..mapping.degree_aware import degree_aware_map
-    from ..mapping.traffic import aggregate_flows, multicast_flows
+    from ..mapping.traffic import multicast_flows
     from ..models.workload import LayerDims
     from ..models.zoo import get_model
 
@@ -147,14 +147,13 @@ def run_calibration_job(job: CalibrationJob) -> dict:
             topo.add_bypass_segment(seg)
         except ValueError:
             continue
+    eject, inject = mc.port_flits(cfg.noc.flit_bytes)
     predicted = AnalyticalNoCModel(topo, cfg.noc).evaluate(
-        TrafficMatrix.from_flows(
-            aggregate_flows(mc.flows, k * k), cfg.noc.flit_bytes, k
-        ),
+        mc.matrix(cfg.noc.flit_bytes, k),
         boost_nodes=mapping.s_pe_nodes,
         boost_factor=4.0,
-        eject_flits=mc.eject_bytes // cfg.noc.flit_bytes,
-        inject_flits=mc.inject_bytes // cfg.noc.flit_bytes,
+        eject_flits=eject,
+        inject_flits=inject,
     ).drain_cycles
 
     return {

@@ -278,11 +278,11 @@ def ablation_partition() -> ExperimentResult:
 
 def ablation_bypass() -> ExperimentResult:
     """E11 — bypass links on/off under hub-heavy traffic."""
-    from ..arch.noc.analytical import AnalyticalNoCModel, TrafficMatrix
+    from ..arch.noc.analytical import AnalyticalNoCModel
     from ..arch.noc.topology import BypassSegment, FlexibleMeshTopology
     from ..mapping.base import PERegion
     from ..mapping.degree_aware import degree_aware_map
-    from ..mapping.traffic import aggregate_flows, multicast_flows
+    from ..mapping.traffic import multicast_flows
 
     cfg = default_config()
     graph = load_dataset("cora")
@@ -290,11 +290,8 @@ def ablation_bypass() -> ExperimentResult:
     cap = max(1, -(-graph.num_vertices // region.num_pes))
     mapping = degree_aware_map(graph, region, pe_vertex_capacity=cap)
     mc = multicast_flows(graph, mapping, graph.num_features * 8)
-    traffic = TrafficMatrix.from_flows(
-        aggregate_flows(mc.flows, cfg.num_pes), cfg.noc.flit_bytes, cfg.array_k
-    )
-    eject = mc.eject_bytes // cfg.noc.flit_bytes
-    inject = mc.inject_bytes // cfg.noc.flit_bytes
+    traffic = mc.matrix(cfg.noc.flit_bytes, cfg.array_k)
+    eject, inject = mc.port_flits(cfg.noc.flit_bytes)
 
     plain = FlexibleMeshTopology(cfg.array_k)
     with_bypass = FlexibleMeshTopology(cfg.array_k)

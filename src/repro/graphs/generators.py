@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from .csr import CSRGraph, from_edge_list
 
 __all__ = [
@@ -36,19 +37,6 @@ __all__ = [
     "chain_graph",
     "complete_graph",
 ]
-
-
-def _unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a short 1-D array the caller owns (sorted in place).
-
-    Same values as ``np.unique`` without its hash table and generic
-    dispatch, which dominate on the generator's per-vertex arrays.
-    """
-    a.sort()
-    keep = np.empty(a.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 def _sample_power_law_degrees(
@@ -185,23 +173,25 @@ def power_law_graph(
             n_local = int(round(d * locality))
             n_global = d - n_local
             # Local edges: a window around the source id (community order).
-            local = _unique(
+            local = sorted_unique(
                 rng.integers(v - window, v + window + 1, size=4 * n_local + 4)
                 % num_vertices
             )
             rng.shuffle(local)
             # Global edges: preferential attachment to the hubs.
-            glob = _unique(
+            glob = sorted_unique(
                 cdf.searchsorted(
                     rng.random(min(4 * n_global + 8, num_vertices * 2)), side="right"
                 )
             )
             rng.shuffle(glob)
-            nbrs = _unique(np.concatenate((local[:n_local], glob[:n_global])))
+            nbrs = sorted_unique(
+                np.concatenate((local[:n_local], glob[:n_global]))
+            )
             rounds = 0
             while nbrs.size < d and rounds < _TOP_UP_ROUNDS:
                 extra = cdf.searchsorted(rng.random(2 * d), side="right")
-                nbrs = _unique(np.concatenate((nbrs, extra)))
+                nbrs = sorted_unique(np.concatenate((nbrs, extra)))
                 rounds += 1
             if nbrs.size < d:
                 # The CDF mass sits on a few vertices (sparse budgets,

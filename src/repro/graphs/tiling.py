@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..perf import PERF
 from ..telemetry import TRACER
 from .csr import CSRGraph
@@ -146,7 +147,7 @@ def _range_subgraph(
         name=f"{graph.name}-tile[{start}:{end}]",
     )
     boundary = int((~within).sum())
-    external = int(np.unique(cols[~within]).size)
+    external = int(sorted_unique(cols[~within]).size)
     return sub, boundary, external
 
 

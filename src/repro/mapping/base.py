@@ -83,8 +83,13 @@ class MappingResult:
         v2p = np.asarray(self.vertex_to_pe)
         if v2p.ndim != 1:
             raise ValueError("vertex_to_pe must be 1-D")
-        region_nodes = set(self.region.node_ids().tolist())
-        if v2p.size and not set(np.unique(v2p).tolist()) <= region_nodes:
+        # Region bounds per vertex (x, y >= 0 follows from y >= y0 >= 0).
+        r = self.region
+        x, y = v2p % r.array_k, v2p // r.array_k
+        inside = (x >= r.x0) & (x < r.x1) & (y >= r.y0) & (y < r.y1)
+        if v2p.dtype.kind not in "iu":
+            inside &= v2p == np.floor(v2p)  # node ids are whole numbers
+        if not inside.all():
             raise ValueError("mapping places vertices outside its region")
 
     @property
@@ -94,15 +99,12 @@ class MappingResult:
     def pe_loads(self) -> np.ndarray:
         """Vertices per PE (indexed by global node id)."""
         k = self.region.array_k
-        loads = np.zeros(k * k, dtype=np.int64)
-        if self.vertex_to_pe.size:
-            np.add.at(loads, self.vertex_to_pe, 1)
-        return loads
+        return np.bincount(self.vertex_to_pe, minlength=k * k)
 
     def communication_loads(self, graph_degrees: np.ndarray) -> np.ndarray:
         """Messages each PE must absorb: sum of degrees of its vertices."""
         k = self.region.array_k
-        loads = np.zeros(k * k, dtype=np.int64)
-        if self.vertex_to_pe.size:
-            np.add.at(loads, self.vertex_to_pe, graph_degrees)
-        return loads
+        # float64 sums of integer degrees are exact below 2**53.
+        return np.bincount(
+            self.vertex_to_pe, weights=graph_degrees, minlength=k * k
+        ).astype(np.int64)

@@ -8,8 +8,12 @@ aggregation, so this is the hot path for large tiles.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from ..arch.noc.analytical import TrafficMatrix, ceil_flits
+from ..arrays import group_sum, run_starts, sorted_unique
 from ..graphs.csr import CSRGraph
 from ..telemetry import TRACER
 from .base import MappingResult
@@ -21,9 +25,6 @@ __all__ = [
     "batched_multicast_flows",
     "MulticastTraffic",
 ]
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,9 @@ class MulticastTraffic:
       and the (exact) ejection/injection port loads.  The flit-level
       validator (`arch.noc.multicast`) measures the exact tree volume;
       `tests/test_multicast.py` pins the relationship;
+    * ``pairs`` — ``flows`` merged per (src_pe, dst_pe), bytes summed,
+      sorted by ``src * num_nodes + dst``: what :func:`aggregate_flows`
+      returns for ``flows``;
     * ``eject_bytes[node]`` — full payload per received message (every
       destination consumes the entire vector);
     * ``inject_bytes[node]`` — one payload per source vertex (the tree is
@@ -52,8 +56,22 @@ class MulticastTraffic:
     """
 
     flows: np.ndarray  # (u, 3): src_pe, dst_pe, tree-shared bytes
+    pairs: np.ndarray  # (p, 3): src_pe, dst_pe, summed bytes
     eject_bytes: np.ndarray  # per-node full ejection bytes
     inject_bytes: np.ndarray  # per-node injection bytes (once per vertex)
+
+    def matrix(self, flit_bytes: int, k: int) -> TrafficMatrix:
+        """The aggregated pairs as a :class:`TrafficMatrix` on a k×k
+        array."""
+        return TrafficMatrix.from_pairs(*self.pairs.T, flit_bytes, k)
+
+    def port_flits(self, flit_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(eject, inject)`` per-node port loads in flits, rounded up:
+        a partial trailing flit still holds its port for a cycle."""
+        return (
+            ceil_flits(self.eject_bytes, flit_bytes),
+            ceil_flits(self.inject_bytes, flit_bytes),
+        )
 
 
 def multicast_flows(
@@ -75,10 +93,10 @@ def batched_multicast_flows(
 
     Each tile's entry equals a one-tile call (bit-for-bit, pinned by
     ``tests/test_traffic_batched.py``), but the edge→flow extraction,
-    remote filtering, and (source vertex, destination PE) dedup run over
-    a single concatenated edge array with tile-composite keys — one
-    ``np.unique`` instead of one per tile.  The per-call NumPy dispatch
-    overhead, which dominates many-tile plans, is paid once.
+    remote filtering, (source vertex, destination PE) dedup, pair
+    aggregation and port counts run over the layer's concatenated edge
+    array with tile-composite keys: one sort, one argsort and two
+    ``bincount`` calls per layer, whatever the tile count.
     """
     if len(subs) != len(mappings):
         raise ValueError("need one mapping per subgraph")
@@ -94,10 +112,9 @@ def _batched_multicast_flows(
     subs, mappings, payload_bytes: int
 ) -> list[MulticastTraffic]:
     num_nodes = mappings[0].region.array_k ** 2
-    src_parts: list[np.ndarray] = []
-    pe_src_parts: list[np.ndarray] = []
-    pe_dst_parts: list[np.ndarray] = []
-    voff = np.zeros(len(subs) + 1, dtype=np.int64)
+    n_tiles = len(subs)
+    key_parts: list[np.ndarray] = []
+    voff = np.zeros(n_tiles + 1, dtype=np.int64)
     for t, (sub, mapping) in enumerate(zip(subs, mappings)):
         if mapping.vertex_to_pe.size != sub.num_vertices:
             raise ValueError("mapping does not cover the graph's vertices")
@@ -106,69 +123,59 @@ def _batched_multicast_flows(
         voff[t + 1] = voff[t] + sub.num_vertices
         if sub.num_edges == 0:
             continue
-        src_v = np.repeat(
-            np.arange(sub.num_vertices, dtype=np.int64), sub.degrees
+        # Tile-composite key ``global source vertex * num_nodes + dst PE``:
+        # the global vertex id already encodes the tile, so one dedup
+        # covers every tile without collisions.
+        key = np.repeat(
+            np.arange(voff[t], voff[t + 1], dtype=np.int64) * num_nodes,
+            sub.degrees,
         )
         dst_pe = mapping.vertex_to_pe[sub.indices]
-        src_pe = mapping.vertex_to_pe[src_v]
-        remote = src_pe != dst_pe
-        src_parts.append(src_v[remote] + voff[t])
-        pe_src_parts.append(src_pe[remote])
-        pe_dst_parts.append(dst_pe[remote])
+        key += dst_pe
+        remote = np.repeat(mapping.vertex_to_pe, sub.degrees) != dst_pe
+        key_parts.append(key[remote])
 
-    empty = MulticastTraffic(
-        flows=np.empty((0, 3), dtype=np.int64),
-        eject_bytes=np.zeros(num_nodes, dtype=np.int64),
-        inject_bytes=np.zeros(num_nodes, dtype=np.int64),
+    key = sorted_unique(np.concatenate(key_parts or [np.empty(0, np.int64)]))
+    # Rows are sorted by (global source vertex, destination PE), hence
+    # grouped by tile and by source vertex.
+    gsrc = key // num_nodes
+    dst_pe = key - gsrc * num_nodes
+    src_pe = np.concatenate([m.vertex_to_pe for m in mappings])[gsrc]
+    first = run_starts(gsrc)  # each source vertex's first row: its sender
+    n_dst = np.diff(first, append=gsrc.size)
+    share = np.repeat(np.maximum(payload_bytes // n_dst, 1), n_dst)
+    flows = np.column_stack((src_pe, dst_pe, share))
+    bounds = np.searchsorted(gsrc, voff)
+    tile_of = np.repeat(np.arange(n_tiles, dtype=np.int64), np.diff(bounds))
+
+    # Every tile's (src PE, dst PE) byte sums in one grouping over a
+    # (tile, src, dst) composite key; its order is each tile's
+    # ``aggregate_flows`` order.
+    pkey, sums = group_sum(
+        (tile_of * num_nodes + src_pe) * num_nodes + dst_pe, share
     )
-    if not src_parts:
-        return [
-            MulticastTraffic(
-                flows=empty.flows,
-                eject_bytes=empty.eject_bytes.copy(),
-                inject_bytes=empty.inject_bytes.copy(),
-            )
-            for _ in subs
-        ]
+    ptile = pkey // (num_nodes * num_nodes)
+    pair = pkey - ptile * (num_nodes * num_nodes)
+    pairs = np.column_stack((pair // num_nodes, pair % num_nodes, sums))
+    pbounds = np.searchsorted(ptile, np.arange(n_tiles + 1))
 
-    gsrc = np.concatenate(src_parts)
-    src_pe = np.concatenate(pe_src_parts)
-    dst_pe = np.concatenate(pe_dst_parts)
-    # Tile-composite key: the global source-vertex id already encodes the
-    # tile, so one dedup covers every tile without cross-tile collisions.
-    key = gsrc * num_nodes + dst_pe
-    _, keep = np.unique(key, return_index=True)
-    gsrc, src_pe, dst_pe = gsrc[keep], src_pe[keep], dst_pe[keep]
-    n_dst = np.bincount(gsrc, minlength=int(voff[-1]))
-    share = np.maximum(payload_bytes // np.maximum(n_dst[gsrc], 1), 1)
-    # Kept rows are sorted by key, hence grouped by tile: slice per tile.
-    tile_of = np.searchsorted(voff, gsrc, side="right") - 1
-    bounds = np.searchsorted(tile_of, np.arange(len(subs) + 1))
+    eject = np.bincount(
+        tile_of * num_nodes + dst_pe, minlength=n_tiles * num_nodes
+    ).reshape(n_tiles, num_nodes) * payload_bytes
+    inject = np.bincount(
+        tile_of[first] * num_nodes + src_pe[first],
+        minlength=n_tiles * num_nodes,
+    ).reshape(n_tiles, num_nodes) * payload_bytes
 
-    out: list[MulticastTraffic] = []
-    for t, (sub, mapping) in enumerate(zip(subs, mappings)):
-        lo, hi = int(bounds[t]), int(bounds[t + 1])
-        if lo == hi:
-            out.append(
-                MulticastTraffic(
-                    flows=np.empty((0, 3), dtype=np.int64),
-                    eject_bytes=np.zeros(num_nodes, dtype=np.int64),
-                    inject_bytes=np.zeros(num_nodes, dtype=np.int64),
-                )
-            )
-            continue
-        t_dst = dst_pe[lo:hi]
-        flows = np.column_stack((src_pe[lo:hi], t_dst, share[lo:hi]))
-        eject = np.bincount(t_dst, minlength=num_nodes) * payload_bytes
-        senders = np.unique(gsrc[lo:hi]) - voff[t]
-        inject = (
-            np.bincount(mapping.vertex_to_pe[senders], minlength=num_nodes)
-            * payload_bytes
+    return [
+        MulticastTraffic(
+            flows=flows[bounds[t] : bounds[t + 1]],
+            pairs=pairs[pbounds[t] : pbounds[t + 1]],
+            eject_bytes=eject[t],
+            inject_bytes=inject[t],
         )
-        out.append(
-            MulticastTraffic(flows=flows, eject_bytes=eject, inject_bytes=inject)
-        )
-    return out
+        for t in range(n_tiles)
+    ]
 
 
 def edge_flows(
@@ -219,16 +226,16 @@ def edge_flows(
     src_pe = src_pe[remote]
     dst_pe = dst_pe[remote]
     num_nodes = mapping.region.array_k ** 2
+    # Each dedup key determines both PEs, so the sorted unique keys are
+    # the kept rows.
     if reduction_dedup and src_v.size:
-        key = src_pe * graph.num_vertices + dst_v
-        _, keep = np.unique(key, return_index=True)
-        src_pe = src_pe[keep]
-        dst_pe = dst_pe[keep]
+        n = graph.num_vertices
+        key = sorted_unique(src_pe * n + dst_v)
+        src_pe, dst_pe = key // n, mapping.vertex_to_pe[key % n]
     elif dedup_per_pe and src_v.size:
-        key = src_v * num_nodes + dst_pe
-        _, keep = np.unique(key, return_index=True)
-        src_pe = src_pe[keep]
-        dst_pe = dst_pe[keep]
+        key = sorted_unique(src_v * num_nodes + dst_pe)
+        src_pe = mapping.vertex_to_pe[key // num_nodes]
+        dst_pe = key % num_nodes
     flows = np.column_stack(
         (
             src_pe,
@@ -246,11 +253,6 @@ def aggregate_flows(flows: np.ndarray, num_nodes: int) -> np.ndarray:
     """
     flows = np.asarray(flows, dtype=np.int64)
     if flows.size == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    key = flows[:, 0] * num_nodes + flows[:, 1]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    byts = flows[order, 2]
-    uniq, starts = np.unique(key, return_index=True)
-    sums = np.add.reduceat(byts, starts)
-    return np.column_stack((uniq // num_nodes, uniq % num_nodes, sums))
+        flows = flows.reshape(0, 3)
+    key, sums = group_sum(flows[:, 0] * num_nodes + flows[:, 1], flows[:, 2])
+    return np.column_stack((key // num_nodes, key % num_nodes, sums))

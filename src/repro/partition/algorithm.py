@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..mapping.base import PERegion
 from ..models.workload import LayerWorkload
 
@@ -58,22 +60,26 @@ class PartitionStrategy:
         return max(self.t_a_seconds, self.t_b_seconds)
 
 
-def _t_a(workload: LayerWorkload, a: int, flops: float) -> float:
-    """T_A per Algorithm 2, lines 2–7."""
-    if a == 0:
-        return float("inf")
+def _t_a(workload: LayerWorkload, a, flops: float):
+    """T_A per Algorithm 2, lines 2–7 (``a`` a PE count or an array of
+    them; ``inf`` where ``a == 0``)."""
     ef_m = workload.E_f * workload.num_edges
-    acomp1 = workload.O_ue / (a * flops)
-    acomp2 = max(workload.O_a - ef_m, 0) / (a * flops)
-    acomp3 = ef_m / (a * flops)
-    return max(acomp1, acomp2) + acomp3
+    denom = np.asarray(a) * flops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        acomp1 = workload.O_ue / denom
+        acomp2 = max(workload.O_a - ef_m, 0) / denom
+        acomp3 = ef_m / denom
+        t_a = np.maximum(acomp1, acomp2) + acomp3
+    return np.where(denom == 0, np.inf, t_a)[()]
 
 
-def _t_b(workload: LayerWorkload, b: int, flops: float) -> float:
-    """T_B per Algorithm 2, lines 9–11."""
-    if b == 0:
-        return float("inf")
-    return workload.O_uv / (b * flops)
+def _t_b(workload: LayerWorkload, b, flops: float):
+    """T_B per Algorithm 2, lines 9–11 (``b`` a PE count or an array of
+    them; ``inf`` where ``b == 0``)."""
+    denom = np.asarray(b) * flops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_b = workload.O_uv / denom
+    return np.where(denom == 0, np.inf, t_b)[()]
 
 
 def partition(
@@ -97,11 +103,10 @@ def partition(
 
     if workload.O_uv == 0:
         # No vertex update: only one accelerator is formed (paper §V).
-        t_a = _t_a(workload, num_pes, flops_per_pe)
         return PartitionStrategy(
             a=num_pes,
             b=0,
-            t_a_seconds=t_a,
+            t_a_seconds=float(_t_a(workload, num_pes, flops_per_pe)),
             t_b_seconds=0.0,
             single_accelerator=True,
         )
@@ -111,21 +116,22 @@ def partition(
             a=0,
             b=num_pes,
             t_a_seconds=0.0,
-            t_b_seconds=_t_b(workload, num_pes, flops_per_pe),
+            t_b_seconds=float(_t_b(workload, num_pes, flops_per_pe)),
             single_accelerator=True,
         )
 
-    best_a = 1
-    best_diff = float("inf")
-    best_times = (0.0, 0.0)
-    for a in range(1, num_pes):
-        t_a = _t_a(workload, a, flops_per_pe)
-        t_b = _t_b(workload, num_pes - a, flops_per_pe)
-        diff = abs(t_a - t_b)
-        if diff < best_diff:
-            best_diff = diff
-            best_a = a
-            best_times = (t_a, t_b)
+    # Every split a = 1 .. P-1 at once; argmin's first minimum is the
+    # first strictly-better split a left-to-right scan would keep.
+    a = np.arange(1, num_pes, dtype=np.int64)
+    t_a = _t_a(workload, a, flops_per_pe)
+    t_b = _t_b(workload, num_pes - a, flops_per_pe)
+    diff = np.abs(t_a - t_b)
+    diff[np.isnan(diff)] = np.inf
+    i = int(np.argmin(diff)) if diff.size else 0
+    if not diff.size or diff[i] == np.inf:
+        best_a, best_times = 1, (0.0, 0.0)
+    else:
+        best_a, best_times = int(a[i]), (float(t_a[i]), float(t_b[i]))
     return PartitionStrategy(
         a=best_a,
         b=num_pes - best_a,

@@ -113,3 +113,39 @@ class TestRunCalibrationSweep:
         report = run_calibration_sweep([small_job], cache=None)
         assert "1 points" in report.summary()
         assert "1 executed" in report.summary()
+
+
+def test_predicted_port_loads_round_partial_flits_up(monkeypatch):
+    """Calibration's analytical prediction charges a partial trailing
+    flit a whole port slot, as the simulator does: with a 24-byte
+    payload (3 features × 8 bytes) on 16-byte flits, the port loads it
+    passes are the ceiling of the port bytes, never the floor."""
+    import numpy as np
+
+    import repro.mapping.traffic as traffic
+    from repro.arch.noc.analytical import AnalyticalNoCModel
+
+    seen = {}
+    multicast_flows = traffic.multicast_flows
+    evaluate = AnalyticalNoCModel.evaluate
+
+    def spy_flows(*args):
+        seen["mc"] = multicast_flows(*args)
+        return seen["mc"]
+
+    def spy_evaluate(self, traffic_matrix, **kwargs):
+        seen.update(kwargs)
+        return evaluate(self, traffic_matrix, **kwargs)
+
+    monkeypatch.setattr(traffic, "multicast_flows", spy_flows)
+    monkeypatch.setattr(AnalyticalNoCModel, "evaluate", spy_evaluate)
+    run_calibration_job(
+        CalibrationJob(num_vertices=40, num_edges=120, seed=1, in_features=3)
+    )
+    mc, flit = seen["mc"], 16
+    for name, nbytes in (
+        ("eject_flits", mc.eject_bytes),
+        ("inject_flits", mc.inject_bytes),
+    ):
+        assert (nbytes % flit).any(), "payload must leave partial flits"
+        np.testing.assert_array_equal(seen[name], -(-nbytes // flit))

@@ -1,0 +1,83 @@
+"""The analytical traffic path groups by sorting, never by hashing or
+unbuffered scatter.
+
+Each function below runs once per layer or per tile of every
+evaluation.  On numpy 2.x, ``np.unique`` (hash-based for plain values,
+a generic dispatch path with ``return_index``) and ``np.add.at`` /
+``np.subtract.at`` measured several times slower there than
+``np.sort`` plus a neighbour mask, ``argsort`` + ``np.add.reduceat``
+and weighted ``np.bincount`` (docs/performance.md).  This parses each
+function's source and fails if one of those primitives comes back.
+"""
+
+import ast
+import inspect
+import textwrap
+
+import pytest
+
+from repro import arrays
+from repro.arch.noc.analytical import AnalyticalNoCModel, TrafficMatrix
+from repro.mapping import traffic
+from repro.partition import algorithm
+
+HOT_PATH = {
+    "mapping.traffic._batched_multicast_flows": traffic._batched_multicast_flows,
+    "mapping.traffic.aggregate_flows": traffic.aggregate_flows,
+    "TrafficMatrix.from_flows": TrafficMatrix.from_flows,
+    "AnalyticalNoCModel._link_loads": AnalyticalNoCModel._link_loads,
+    "partition.algorithm.partition": algorithm.partition,
+    "partition.algorithm._t_a": algorithm._t_a,
+    "partition.algorithm._t_b": algorithm._t_b,
+    "arrays.run_starts": arrays.run_starts,
+    "arrays.sorted_unique": arrays.sorted_unique,
+    "arrays.group_sum": arrays.group_sum,
+}
+
+BANNED = {
+    f"{mod}.{name}"
+    for mod in ("np", "numpy")
+    for name in ("unique", "add.at", "subtract.at")
+}
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def banned_uses(source: str) -> set:
+    """Banned primitives referenced anywhere in ``source``."""
+    tree = ast.parse(textwrap.dedent(source))
+    return {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (name := _dotted(node)) in BANNED
+    }
+
+
+@pytest.mark.parametrize("name", sorted(HOT_PATH))
+def test_hot_path_avoids_slow_primitives(name):
+    assert banned_uses(inspect.getsource(HOT_PATH[name])) == set()
+
+
+def test_detector_sees_each_banned_primitive():
+    source = """
+    def f(a, b, i, w):
+        u, first = np.unique(a, return_index=True)
+        np.add.at(b, i, w)
+        numpy.subtract.at(b, i, w)
+        g = np.unique
+    """
+    assert banned_uses(source) == {
+        "np.unique",
+        "np.add.at",
+        "numpy.subtract.at",
+    }

@@ -48,6 +48,43 @@ class TestPERegion:
             PERegion(0, 0, 9, 4, 8)
 
 
+class TestMappingResultBounds:
+    """A mapping may only place vertices on its own region's PEs."""
+
+    @pytest.fixture
+    def inner(self):
+        return PERegion(2, 1, 6, 3, 8)  # columns 2-5, rows 1-2 of 8x8
+
+    def test_every_region_node_accepted(self, inner):
+        for dtype in (np.int64, np.int32, np.uint16, np.float64):
+            v2p = inner.node_ids().astype(dtype)
+            MappingResult(policy="x", region=inner, vertex_to_pe=v2p)
+        MappingResult(
+            policy="x", region=inner, vertex_to_pe=np.zeros(0, np.int64)
+        )
+
+    @pytest.mark.parametrize(
+        "node", [1 * 8 + 1, 1 * 8 + 6, 0 * 8 + 3, 3 * 8 + 3, -1, 64, 200, 10.5]
+    )
+    def test_outside_node_rejected(self, inner, node):
+        v2p = np.append(inner.node_ids(), node)
+        with pytest.raises(ValueError, match="outside its region"):
+            MappingResult(policy="x", region=inner, vertex_to_pe=v2p)
+
+    def test_matches_the_set_definition(self, inner):
+        rng = np.random.default_rng(0)
+        allowed = set(inner.node_ids().tolist())
+        for _ in range(200):
+            v2p = rng.integers(-3, 70, int(rng.integers(1, 6)))
+            inside = set(v2p.tolist()) <= allowed
+            try:
+                MappingResult(policy="x", region=inner, vertex_to_pe=v2p)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == inside
+
+
 class TestDegreeAware:
     def test_all_vertices_mapped_in_region(self, medium_graph, region):
         cap = -(-medium_graph.num_vertices // region.num_pes)

@@ -180,3 +180,66 @@ class TestTierAgreement:
         )
         assert result.total_flit_hops == int(hops.sum())
         assert result.bypass_flit_hops == sum(crosses)
+
+
+def _link_loads_reference(traffic, k, boost_nodes, boost_factor, eject_flits):
+    """Difference arrays filled with ``np.add.at`` / ``np.subtract.at``:
+    the link-load count written out flow by flow."""
+    sx, sy, dx, dy, fl = (
+        traffic.src_x,
+        traffic.src_y,
+        traffic.dst_x,
+        traffic.dst_y,
+        traffic.flits,
+    )
+    loads = []
+    for line, a, b in ((sy, sx, dx), (dx, sy, dy)):
+        diff = np.zeros((k, k), dtype=np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        cross = hi > lo
+        np.add.at(diff, (line[cross], lo[cross]), fl[cross])
+        np.subtract.at(diff, (line[cross], hi[cross]), fl[cross])
+        loads.append(np.cumsum(diff, axis=1)[:, : k - 1])
+    eject = np.zeros(k * k, dtype=np.float64)
+    if eject_flits is None:
+        np.add.at(eject, dy * k + dx, fl)
+    else:
+        eject += eject_flits
+    if boost_nodes:
+        eject[np.asarray(boost_nodes)] /= max(boost_factor, 1.0)
+    max_link = int(max(loads[0].max(initial=0), loads[1].max(initial=0)))
+    return max_link, int(eject.max(initial=0.0))
+
+
+class TestLinkLoads:
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 16, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bincount_loads_match_add_at_reference(self, k, seed):
+        rng = np.random.default_rng(seed * 100 + k)
+        n = int(rng.integers(1, 6 * k * k))
+        src = rng.integers(0, k * k, n)
+        dst = rng.integers(0, k * k, n)
+        # Heavy flows too: sums stay exact far above int32.
+        nbytes = rng.integers(1, 2**40 if seed == 3 else 4096, n)
+        traffic = _traffic(np.column_stack([src, dst, nbytes]), k)
+        model = AnalyticalNoCModel(FlexibleMeshTopology(k))
+        boost = tuple(
+            int(b) for b in rng.choice(k * k, int(rng.integers(0, 4)), False)
+        )
+        given_eject = rng.integers(0, 5000, k * k)
+        for boost_nodes in ((), boost):
+            for eject in (None, given_eject):
+                for factor in (0.5, 3.0, 4.5):
+                    assert model._link_loads(
+                        traffic, boost_nodes, factor, eject
+                    ) == _link_loads_reference(
+                        traffic, k, boost_nodes, factor, eject
+                    )
+
+    def test_single_row_and_column_traffic(self):
+        k = 4
+        traffic = _traffic([[0, 3, 64], [3, 0, 32], [1, 13, 16], [5, 5, 16]], k)
+        model = AnalyticalNoCModel(FlexibleMeshTopology(k))
+        assert model._link_loads(traffic) == _link_loads_reference(
+            traffic, k, (), 3.0, None
+        )

@@ -4,14 +4,21 @@
 ``multicast_flows`` is its one-tile call.  Over random tiles under both
 mapping policies, each tile of a many-tile batch must match the one-tile
 call and a plain set-based reference of the multicast rule — flows, eject
-and inject bytes, and dtypes.
+and inject bytes, and dtypes — and each tile's aggregated pairs must
+equal the per-tile aggregation of its flows.
 """
 
 import numpy as np
 import pytest
 
+from repro.arch.noc import TrafficMatrix
 from repro.graphs import from_edge_list, power_law_graph
-from repro.mapping import MappingResult, PERegion, batched_multicast_flows
+from repro.mapping import (
+    MappingResult,
+    PERegion,
+    aggregate_flows,
+    batched_multicast_flows,
+)
 from repro.mapping.memo import map_tile
 from repro.mapping.traffic import multicast_flows
 
@@ -115,3 +122,64 @@ def test_mismatched_array_sizes_rejected():
     large = map_tile(sub, PERegion(0, 0, 8, 4, 8), "hashing")
     with pytest.raises(ValueError):
         batched_multicast_flows([sub, sub], [small, large], PAYLOAD)
+
+
+def reference_pairs(flows):
+    """``flows`` merged per (src PE, dst PE) with a dict, sorted by pair."""
+    sums: dict = {}
+    for s, d, b in flows.tolist():
+        sums[(s, d)] = sums.get((s, d), 0) + b
+    return np.array(
+        [(s, d, b) for (s, d), b in sorted(sums.items())], dtype=np.int64
+    ).reshape(-1, 3)
+
+
+def assert_same_matrix(got, want):
+    for name in ("src_x", "src_y", "dst_x", "dst_y", "flits"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == np.int64, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("policy", ["degree-aware", "hashing"])
+@pytest.mark.parametrize("k", [4, 8, 16, 32])
+def test_aggregated_pairs_match_per_tile_aggregation(k, policy):
+    """The kernel's one layer-wide grouping gives each tile the pairs,
+    traffic matrix and port flits the per-tile path derived from its
+    flows, around empty tiles and tiles with no remote edge."""
+    subs, mappings = random_tiles(k, policy, count=20, seed=100 + k)
+    region = mappings[0].region
+    all_local = from_edge_list(3, [(0, 1), (1, 2)])
+    local_map = MappingResult(
+        policy="x",
+        region=region,
+        vertex_to_pe=np.full(3, region.node_ids()[0], np.int64),
+    )
+    edgeless = from_edge_list(4, [])
+    subs[5:5] = [edgeless, all_local]
+    mappings[5:5] = [map_tile(edgeless, region, policy), local_map]
+    subs.append(edgeless)
+    mappings.append(map_tile(edgeless, region, policy))
+    flit_bytes = 16
+    batch = batched_multicast_flows(subs, mappings, PAYLOAD)
+    for sub, mapping, got in zip(subs, mappings, batch):
+        _, want_eject, want_inject = reference(sub, mapping, PAYLOAD)
+        assert got.pairs.dtype == np.int64
+        np.testing.assert_array_equal(got.pairs, reference_pairs(got.flows))
+        np.testing.assert_array_equal(
+            got.pairs, aggregate_flows(got.flows, k * k)
+        )
+        assert_same_matrix(
+            got.matrix(flit_bytes, k),
+            TrafficMatrix.from_flows(
+                aggregate_flows(got.flows, k * k), flit_bytes, k
+            ),
+        )
+        eject, inject = got.port_flits(flit_bytes)
+        np.testing.assert_array_equal(eject, -(-want_eject // flit_bytes))
+        np.testing.assert_array_equal(inject, -(-want_inject // flit_bytes))
+        np.testing.assert_array_equal(got.eject_bytes, want_eject)
+        np.testing.assert_array_equal(got.inject_bytes, want_inject)
+    for empty in (batch[5], batch[6], batch[-1]):
+        assert empty.pairs.shape == (0, 3)
+        assert empty.matrix(flit_bytes, k).num_flows == 0
