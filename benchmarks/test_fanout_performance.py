@@ -1,10 +1,10 @@
-"""Intra-job fan-out gate: event engine + tile sharding vs reference.
+"""Multi-tile cycle-layer gate: the event engine's tile loop vs reference.
 
-The fan-out path runs the batched event engine and fans a job's
-independent tiles out over worker processes; the contract is a >=5x
-*cold single-request* speedup on the multi-tile pubmed job while every
-path — serial, sharded, either engine — stays bit-identical to the
-retained reference.  This module is the CI guard on that contract.
+``run_cycle_layer`` runs a job's tiles one after another in the calling
+process through the batched event engine; the contract is a >=5x *cold
+single-request* speedup on the multi-tile pubmed job while both engines
+stay bit-identical tile by tile.  This module is the CI guard on that
+contract.
 
 Like the cycle-tier gate, the speedup assert is a ratio of two runs on
 the same machine, relaxed by ``$REPRO_BENCH_SLACK`` against runner
@@ -22,19 +22,18 @@ from repro.perf.bench import clear_hot_path_caches
 #: Multiplier on every bound; CI sets e.g. REPRO_BENCH_SLACK=4.
 SLACK = float(os.environ.get("REPRO_BENCH_SLACK", "1.0"))
 
-#: Locked contract: cold event+sharded request vs one cold reference run
-#: of the same job.  The serial event path alone measured 6.1x;
-#: sharding adds more on multicore machines.
+#: Locked contract: one cold event-engine run of the layer vs one cold
+#: reference run of the same job.
 MIN_SPEEDUP = 5.0
 
 
 @dataclass(frozen=True)
 class FanoutBenchCase:
-    """One intra-job fan-out workload: a multi-tile job, whole layer.
+    """One multi-tile workload: a whole layer of one job.
 
     The same job is timed cold through the retained reference engine
-    (serial), the event engine (serial), and the event engine with tile
-    sharding — all three paths must produce identical per-tile results.
+    and through the event engine; both must produce identical per-tile
+    results.
     """
 
     name: str
@@ -43,15 +42,14 @@ class FanoutBenchCase:
     model: str = "gcn"
     array_k: int = 16
     hidden: int = 16
-    tile_workers: int = 4
     #: Tiling capacity; None = the full distributed-buffer capacity.
     tile_capacity_bytes: int | None = None
 
 
 #: pubmed tiled to half the distributed-buffer capacity (region B's
 #: banks stage features/weights for the resident tile while the next one
-#: loads) — three dense independent tiles, exactly the shape intra-job
-#: parallelism was built for.  Tiles are kept heavy on purpose: the
+#: loads) — three dense independent tiles.  Tiles are kept heavy on
+#: purpose: the
 #: event engine's advantage over the reference grows with per-tile
 #: traffic, and calibration sweeps are made of tiles like these.
 FANOUT_BENCHES: tuple[FanoutBenchCase, ...] = (
@@ -62,9 +60,9 @@ FANOUT_BENCHES: tuple[FanoutBenchCase, ...] = (
 
 
 def _run_fanout_case(case: FanoutBenchCase, repeat: int) -> dict:
-    """Cold reference, serial-event and fan-out runs of the whole job,
-    then ``repeat`` warm fan-out runs; every path must reproduce the
-    reference's per-tile counters."""
+    """Cold reference and event runs of the whole job, then ``repeat``
+    warm event runs; every run must reproduce the reference's per-tile
+    counters."""
     from repro.config import small_config
     from repro.core.cycle_layer import run_cycle_layer
     from repro.graphs.datasets import load_dataset
@@ -87,37 +85,33 @@ def _run_fanout_case(case: FanoutBenchCase, repeat: int) -> dict:
         return layer, time.perf_counter() - t0
 
     reference, reference_s = timed(noc_engine="reference")
-    serial, _ = timed(noc_engine="event")
-    fanout, fanout_s = timed(tile_workers=case.tile_workers)
+    event, event_s = timed(noc_engine="event")
     base = [tile_fields(t) for t in reference.tiles]
-    for name, layer in (("serial", serial), ("fanout", fanout)):
-        assert [tile_fields(t) for t in layer.tiles] == base, (
-            f"{name} path diverged from reference on {case.name}"
-        )
+    assert [tile_fields(t) for t in event.tiles] == base, (
+        f"event path diverged from reference on {case.name}"
+    )
 
-    # Warm repeats of the fan-out path: route + mapping memos populated.
+    # Warm repeats of the event path: mapping memos populated.
     for _ in range(max(1, repeat)):
-        again = run_cycle_layer(
-            model, plan, dims, config=cfg, tile_workers=case.tile_workers
-        )
+        again = run_cycle_layer(model, plan, dims, config=cfg)
         assert [tile_fields(t) for t in again.tiles] == base, (
-            f"warm fan-out diverged from reference on {case.name}"
+            f"warm event path diverged from reference on {case.name}"
         )
 
     return {
         "num_tiles": plan.num_tiles,
-        "noc_cycles": fanout.total_cycles,
-        "packets": fanout.packets,
-        # Cold single-request latency of the event + sharded path
-        # against the retained reference simulator.
-        "speedup_vs_reference": reference_s / fanout_s,
+        "noc_cycles": event.total_cycles,
+        "packets": event.packets,
+        # Cold single-request latency of the event path against the
+        # retained reference simulator.
+        "speedup_vs_reference": reference_s / event_s,
     }
 
 
 def test_fanout_speedup_vs_reference():
-    """One bench pass (reference + serial + fan-out + warm repeat) with
-    per-tile identity checks built into ``_run_fanout_case`` — a
-    diverging tile fails before any timing assert can pass."""
+    """One bench pass (reference + event + warm repeat) with per-tile
+    identity checks built into ``_run_fanout_case`` — a diverging tile
+    fails before any timing assert can pass."""
     bench = _run_fanout_case(FANOUT_BENCHES[0], repeat=1)
     assert bench["speedup_vs_reference"] >= MIN_SPEEDUP / SLACK
     # Absolute sanity: the job must be the heavy multi-tile standard one.

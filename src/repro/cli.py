@@ -105,14 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--mapping", default="degree-aware", choices=("degree-aware", "hashing")
     )
-    p_sim.add_argument(
-        "--tile-workers",
-        type=positive_int,
-        default=1,
-        metavar="N",
-        help="fan a layer's independent tiles out over N worker "
-        "processes (1 = serial; aurora device only)",
-    )
 
     def add_runtime_flags(p: argparse.ArgumentParser, *, cache_default: bool) -> None:
         p.add_argument(
@@ -806,9 +798,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     profile = dataset_profile(args.dataset)
     dims = layer_plan(graph, args.hidden, args.layers, profile.num_classes)
     if args.device == "aurora":
-        sim = AuroraSimulator(
-            mapping_policy=args.mapping, tile_workers=args.tile_workers
-        )
+        sim = AuroraSimulator(mapping_policy=args.mapping)
         result = sim.simulate(model, graph, dims)
     else:
         device = make_baseline(args.device)

@@ -69,7 +69,7 @@ class CycleTileResult:
         return float(busy.max() / busy.mean())
 
     # JSON round-trip: the layer runner caches per-tile results on disk
-    # and ships them across process boundaries (repro.core.cycle_layer).
+    # (repro.core.cycle_layer).
     def to_payload(self) -> dict:
         return {
             "noc_cycles": self.noc_cycles,
@@ -247,14 +247,10 @@ class CycleTileEngine:
         if n_packets and isinstance(sim, NoCSimulator):
             with TRACER.span("cycle.routes"):
                 sim.route_pairs(mc.pairs[:, :2])
-        # Spread injections over time at each source's injection rate so
-        # the warm-up transient resembles steady pipelined operation.
-        per_source_next: dict[int, int] = {}
+        # Every packet is injected at the current cycle.
         with TRACER.span("cycle.inject"):
             for src, dst, nbytes in mc.flows.tolist():
-                when = per_source_next.get(src, 0)
                 sim.inject(int(src), int(dst), int(nbytes), cycle=None)
-                per_source_next[src] = when + 1
         try:
             with TRACER.span("cycle.noc", {"packets": n_packets}):
                 stats = sim.run(max_cycles=5_000_000) if n_packets else sim.stats

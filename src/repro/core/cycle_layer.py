@@ -1,31 +1,26 @@
-"""Cycle-tier layer runner: one layer, many tiles, sharded execution.
+"""Cycle-tier layer runner: one layer, many tiles, one tile loop.
 
 :class:`~repro.core.cycle_engine.CycleTileEngine` executes one tile;
-this module runs a whole layer's worth of tiles and is where intra-job
-parallelism lives.  Tiles are independent — each maps, configures,
-injects, and drains its own NoC — so the runner hands them to
-:func:`repro.runtime.shards.run_tile_shards`, which batches them into
-contiguous shards across worker processes, serves previously computed
-tiles from the per-tile result cache, and recovers crashed shards
-serially.
+this module runs a whole layer's worth of tiles.  Tiles are independent
+— each maps, configures, injects, and drains its own NoC — so the
+runner hands them to :func:`repro.runtime.shards.run_tile_shards`,
+which serves previously computed tiles from the per-tile result cache
+and runs the rest in tile order in this process.
 
 Two invariants the property tests pin:
 
-* **Deterministic order** — results come back in tile order regardless
-  of worker count or shard layout.
-* **Bit identity** — the aggregate result is identical under serial,
-  sharded, and either NoC engine, because the event engine is pinned
-  bit-identical to the reference and per-tile work is a pure function
-  of the tile.
+* **Deterministic order** — results come back in tile order whether a
+  tile was cached or computed.
+* **Bit identity** — the aggregate result is identical cached or
+  uncached and under either NoC engine, because the event engine is
+  pinned bit-identical to the reference and per-tile work is a pure
+  function of the tile.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
-from typing import Sequence
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..config import AcceleratorConfig
 from ..graphs.csr import CSRGraph
@@ -37,7 +32,6 @@ from .cycle_engine import CycleTileEngine, CycleTileResult
 
 if TYPE_CHECKING:  # deferred at runtime: repro.runtime imports repro.core
     from ..runtime.cache import ResultCache
-    from ..runtime.shards import TileShardJob, TileShardPlanner
 
 __all__ = ["CycleLayerResult", "run_cycle_layer"]
 
@@ -66,27 +60,6 @@ class CycleLayerResult:
     @property
     def stall_events(self) -> int:
         return sum(t.stall_events for t in self.tiles)
-
-
-def _run_cycle_shard(
-    job: TileShardJob,
-    *,
-    config: AcceleratorConfig,
-    model: GNNModel,
-    dims: LayerDims,
-    mapping_policy: str,
-    noc_engine: str,
-) -> dict:
-    """Pool-worker entry: execute one shard's tiles, return JSON payloads.
-
-    Module-level (and invoked through :func:`functools.partial`) so the
-    process pool can pickle it by reference.
-    """
-    engine = CycleTileEngine(
-        config, mapping_policy=mapping_policy, noc_engine=noc_engine
-    )
-    tiles = [engine.run_tile(model, sub, dims).to_payload() for sub in job.payloads]
-    return {"tiles": tiles}
 
 
 def _tile_keys(
@@ -129,13 +102,10 @@ def run_cycle_layer(
     config: AcceleratorConfig,
     mapping_policy: str = "degree-aware",
     noc_engine: str = "event",
-    tile_workers: int = 1,
     cache: ResultCache | None = None,
-    planner: TileShardPlanner | None = None,
-    timeout: float | None = None,
     partition_signature: dict | None = None,
 ) -> CycleLayerResult:
-    """Execute every tile of one layer, fanned out over ``tile_workers``.
+    """Execute every tile of one layer, in tile order.
 
     ``tiles`` is either a :class:`~repro.graphs.tiling.TilingPlan` or a
     sequence of tile subgraphs.  With a ``cache``, each tile is probed
@@ -143,8 +113,7 @@ def run_cycle_layer(
     editing one tile recomputes only that tile.  ``partition_signature``
     carries the tiling parameters into the cache keys (defaults to the
     plan's own parameters when ``tiles`` is a
-    :class:`~repro.graphs.tiling.TilingPlan`).  Cold tile subgraphs
-    ship to pool workers in the pickled shard job.
+    :class:`~repro.graphs.tiling.TilingPlan`).
     """
     from ..runtime.shards import run_tile_shards
 
@@ -160,14 +129,17 @@ def run_cycle_layer(
     else:
         subs = list(tiles)
 
-    worker_fn = partial(
-        _run_cycle_shard,
-        config=config,
-        model=model,
-        dims=dims,
-        mapping_policy=mapping_policy,
-        noc_engine=noc_engine,
-    )
+    def run_cold(cold):
+        engine = CycleTileEngine(
+            config, mapping_policy=mapping_policy, noc_engine=noc_engine
+        )
+        return {
+            "tiles": [
+                engine.run_tile(model, sub, dims).to_payload()
+                for sub in cold.payloads
+            ]
+        }
+
     keys = (
         _tile_keys(subs, model, dims, config, mapping_policy, partition_signature)
         if cache is not None
@@ -178,23 +150,14 @@ def run_cycle_layer(
         {
             "model": model.name,
             "tiles": len(subs),
-            "tile_workers": tile_workers,
             "noc_engine": noc_engine,
         },
     ):
-        fanout = run_tile_shards(
-            subs,
-            worker_fn,
-            kind="cycle",
-            tile_workers=tile_workers,
-            costs=[max(1, sub.num_edges) for sub in subs],
-            tile_keys=keys,
-            cache=cache,
-            planner=planner,
-            timeout=timeout,
+        run = run_tile_shards(
+            subs, run_cold, kind="cycle", tile_keys=keys, cache=cache
         )
     return CycleLayerResult(
-        tiles=[CycleTileResult.from_payload(p) for p in fanout.payloads],
-        fanout=fanout.stats,
+        tiles=[CycleTileResult.from_payload(p) for p in run.payloads],
+        fanout=run.stats,
         noc_engine=noc_engine,
     )

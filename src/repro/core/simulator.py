@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict
-from functools import partial
 
 import numpy as np
 
@@ -126,24 +125,20 @@ def _tile_outcome(
     width_ratio: float,
     msg_width: int,
     density: float,
-    workflow=None,
-    cfg_unit: ConfigurationUnit | None = None,
+    workflow,
+    cfg_unit: ConfigurationUnit,
 ) -> dict:
     """Evaluate one tile; returns a JSON-serializable outcome.
 
-    This is the former ``_simulate_layer`` loop body, extracted so tiles
-    can run in worker processes (:mod:`repro.runtime.shards`) and be
-    cached per tile.  It is a pure function of its arguments: stateful
-    models (DRAM, energy counters) are instantiated locally and their
-    activity is returned as *deltas* the caller applies in tile order, so
-    serial and sharded execution accumulate bit-identical results.
+    This is the ``_simulate_layer`` loop body, extracted so tiles can be
+    cached per tile (:mod:`repro.runtime.shards`).  It is a pure function
+    of its arguments: stateful models (DRAM, energy counters) are
+    instantiated locally and their activity is returned as *deltas* the
+    caller applies in tile order, so cached and computed outcomes
+    accumulate bit-identical results.
     """
     cfg = config
     freq = cfg.frequency_hz
-    if workflow is None:
-        workflow = AdaptiveWorkflowGenerator().generate(model)
-    if cfg_unit is None:
-        cfg_unit = ConfigurationUnit(cfg)
     dram = DRAMModel(cfg.dram)
     counters = EnergyCounters()
 
@@ -288,19 +283,6 @@ def _tile_outcome(
     }
 
 
-def _analytical_shard(job, **kwargs) -> dict:
-    """Pool-worker entry for analytical tile shards.
-
-    Regenerates the (deterministic) workflow and configuration unit once
-    per shard instead of pickling them, then evaluates each tile from
-    its ``(subgraph, boundary, external, mapping, flows)`` payload.
-    """
-    kwargs["workflow"] = AdaptiveWorkflowGenerator().generate(kwargs["model"])
-    kwargs["cfg_unit"] = ConfigurationUnit(kwargs["config"])
-    tiles = [_tile_outcome(*payload, **kwargs) for payload in job.payloads]
-    return {"tiles": tiles}
-
-
 class AuroraSimulator:
     """Analytical performance/energy simulator for the Aurora accelerator."""
 
@@ -311,22 +293,16 @@ class AuroraSimulator:
         *,
         mapping_policy: str = "degree-aware",
         enable_combination_first: bool = False,
-        tile_workers: int = 1,
         tile_cache=None,
     ) -> None:
         if mapping_policy not in ("degree-aware", "hashing"):
             raise ValueError("mapping_policy must be 'degree-aware' or 'hashing'")
-        if tile_workers < 1:
-            raise ValueError("tile_workers must be >= 1")
         self.config = config or default_config()
         self.energy_model = EnergyModel(energy_table)
         self.mapping_policy = mapping_policy
-        # Intra-job parallelism: tiles of one layer fan out over this many
-        # worker processes (repro.runtime.shards); with a ResultCache in
-        # ``tile_cache``, per-tile results are content-addressed so a
-        # dirty tile recomputes alone.  Both paths are bit-identical to
-        # serial execution (tests/test_tile_fanout.py).
-        self.tile_workers = tile_workers
+        # With a ResultCache in ``tile_cache``, per-tile results are
+        # content-addressed so a dirty tile recomputes alone; cached and
+        # uncached runs are bit-identical (tests/test_tile_fanout.py).
         self.tile_cache = tile_cache
         # Running reuse counters (read+reset via take_tile_stats): how
         # many tile outcomes were served from the per-tile cache vs
@@ -514,7 +490,7 @@ class AuroraSimulator:
         payload_bytes: int,
         tiling_signature: dict,
     ) -> list[dict]:
-        """Per-tile outcomes in tile order: serial, sharded, or cached.
+        """Per-tile outcomes in tile order, served from ``tile_cache`` when set.
 
         Tile payload construction (content-memoized mapping + batched
         multicast traffic extraction) happens *after* the per-tile cache
@@ -524,41 +500,38 @@ class AuroraSimulator:
         per-tile path (``tests/test_traffic_batched.py``), so cold-only
         batches reproduce the full-batch results exactly.
         """
-        shared = dict(
-            config=self.config,
-            model=model,
-            dims=dims,
-            policy=policy,
-            region_a=region_a,
-            region_b=region_b,
-            width_ratio=width_ratio,
-            msg_width=msg_width,
-            density=density,
-        )
-        def build_payloads(indices):
-            sel = [tiles[i] for i in indices]
-            mappings = [self._map_tile(t.subgraph, region_a, policy) for t in sel]
-            mcs = batched_multicast_flows(
-                [t.subgraph for t in sel], mappings, payload_bytes
-            )
-            return [
-                (t.subgraph, t.boundary_edges, t.external_vertices, m, mc)
-                for t, m, mc in zip(sel, mappings, mcs)
-            ]
-
-        if self.tile_workers == 1 and self.tile_cache is None:
-            payloads = build_payloads(list(range(len(tiles))))
-            self._tile_stats["tiles"] += len(tiles)
-            self._tile_stats["recomputed"] += len(tiles)
-            return [
-                _tile_outcome(
-                    *payload, workflow=workflow, cfg_unit=cfg_unit, **shared
-                )
-                for payload in payloads
-            ]
-
         # Deferred import: repro.runtime imports this module.
         from ..runtime.shards import run_tile_shards, tile_sub_key
+
+        def evaluate_cold(cold):
+            mappings = [
+                self._map_tile(t.subgraph, region_a, policy) for t in cold.payloads
+            ]
+            mcs = batched_multicast_flows(
+                [t.subgraph for t in cold.payloads], mappings, payload_bytes
+            )
+            outcomes = [
+                _tile_outcome(
+                    t.subgraph,
+                    t.boundary_edges,
+                    t.external_vertices,
+                    m,
+                    mc,
+                    config=self.config,
+                    model=model,
+                    dims=dims,
+                    policy=policy,
+                    region_a=region_a,
+                    region_b=region_b,
+                    width_ratio=width_ratio,
+                    msg_width=msg_width,
+                    density=density,
+                    workflow=workflow,
+                    cfg_unit=cfg_unit,
+                )
+                for t, m, mc in zip(cold.payloads, mappings, mcs)
+            ]
+            return {"tiles": outcomes}
 
         keys = None
         if self.tile_cache is not None:
@@ -586,21 +559,18 @@ class AuroraSimulator:
                 )
                 for tile in tiles
             ]
-        fanout = run_tile_shards(
-            len(tiles),
-            partial(_analytical_shard, **shared),
+        run = run_tile_shards(
+            tiles,
+            evaluate_cold,
             kind="analytical",
-            tile_workers=self.tile_workers,
-            costs=[max(1, t.num_edges) for t in tiles],
             tile_keys=keys,
             cache=self.tile_cache,
-            payload_builder=build_payloads,
         )
-        stats = fanout.stats
+        stats = run.stats
         self._tile_stats["tiles"] += stats["tiles"]
         self._tile_stats["reused"] += stats["cache_hits"]
         self._tile_stats["recomputed"] += stats["tiles"] - stats["cache_hits"]
-        return fanout.payloads
+        return run.payloads
 
     # ------------------------------------------------------------------
     def simulate_layer(
@@ -710,10 +680,10 @@ class AuroraSimulator:
         payload = msg_width * cfg.bytes_per_value
 
         # Each tile's evaluation is a pure function of the tile
-        # (see _tile_outcome), so the loop fans out over worker processes
-        # when ``tile_workers`` > 1; outcomes apply in tile order either
-        # way, keeping every accumulation bit-identical to serial.  Tile
-        # mapping and batched traffic extraction are deferred into
+        # (see _tile_outcome), so a cached outcome stands in for a
+        # computed one; outcomes apply in tile order, keeping every
+        # accumulation bit-identical to an uncached run.  Tile mapping
+        # and batched traffic extraction are deferred into
         # _tile_outcomes so they run only for tiles the per-tile cache
         # cannot serve.
         tiles = list(plan)

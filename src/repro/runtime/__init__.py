@@ -13,7 +13,6 @@ content-addressed result cache:
 * :mod:`.runner` — :func:`run_jobs` orchestration plus sweep metrics.
 """
 
-from .budget import BUDGET, WorkerBudget, in_pool_worker
 from .cache import CacheStats, ResultCache, as_cache, code_fingerprint
 from .executor import (
     ExecutionRecord,
@@ -30,12 +29,7 @@ from .runner import (
     run_jobs,
     run_jobs_async,
 )
-from .shards import (
-    TileShardJob,
-    TileShardPlanner,
-    run_tile_shards,
-    tile_sub_key,
-)
+from .shards import run_tile_shards, tile_sub_key
 
 __all__ = [
     "SimJob",
@@ -56,11 +50,6 @@ __all__ = [
     "SweepReport",
     "run_jobs",
     "run_jobs_async",
-    "BUDGET",
-    "WorkerBudget",
-    "in_pool_worker",
-    "TileShardJob",
-    "TileShardPlanner",
     "run_tile_shards",
     "tile_sub_key",
 ]

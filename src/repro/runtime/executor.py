@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..telemetry import TRACER
-from .budget import mark_pool_worker
 from .jobs import SimJob, execute_job
 
 __all__ = [
@@ -194,12 +193,8 @@ class ProcessExecutor:
                 for index, job in pending:
                     records[index] = ExecutionRecord(job, None, CANCELLED)
                 break
-            # Workers are marked so nested fan-out (e.g. tile sharding
-            # inside a pooled job) degrades to serial instead of forking
-            # grandchildren — see repro.runtime.budget.
             pool = ProcessPoolExecutor(
-                max_workers=min(self.max_workers, len(pending)),
-                initializer=mark_pool_worker,
+                max_workers=min(self.max_workers, len(pending))
             )
             futures = [
                 (index, job, pool.submit(_invoke, fn, job, trace_ctx))

@@ -36,7 +36,6 @@ from typing import Awaitable, Callable
 
 from ..observe.events import HUB
 from ..perf import PERF
-from ..runtime.budget import BUDGET
 from ..runtime.cache import ResultCache
 from ..runtime.jobs import SimJob, job_key
 from ..runtime.runner import (
@@ -80,38 +79,9 @@ class JobBatcher:
         self.batches_run = 0
         self.jobs_run = 0
         self.singleflight_joins = 0
-        self._pool_active = 0
-        self._pool_saved: int | None = None
 
     async def _default_runner(self, jobs: list[SimJob]) -> SweepReport:
         return await run_jobs_async(jobs, executor=self.executor, cache=self.cache)
-
-    # ------------------------------------------------------------------
-    # The batch pool and intra-job tile sharding share one machine-wide
-    # worker budget (repro.runtime.budget): the pool leases its workers
-    # while at least one batch is running, so a concurrent tile fan-out
-    # on this process only gets the remainder — and the pool itself only
-    # spawns what the budget grants, instead of both sides independently
-    # sizing to the whole CPU count.  Mutation of ``max_workers`` is
-    # safe: both hooks run on the event-loop thread, never inside the
-    # worker-thread that executes the batch.
-    def _acquire_pool(self) -> None:
-        want = getattr(self.executor, "max_workers", None)
-        if not want:
-            return
-        if self._pool_active == 0:
-            self._pool_saved = want
-            self.executor.max_workers = BUDGET.lease("serve-batch", want)
-        self._pool_active += 1
-
-    def _release_pool(self) -> None:
-        if self._pool_saved is None:
-            return
-        self._pool_active -= 1
-        if self._pool_active == 0:
-            self.executor.max_workers = self._pool_saved
-            self._pool_saved = None
-            BUDGET.release("serve-batch")
 
     # ------------------------------------------------------------------
     async def submit(self, job: SimJob) -> tuple[JobOutcome, bool]:
@@ -205,7 +175,6 @@ class JobBatcher:
                     "keys": [key[:12] for key, _ in batch],
                 },
             )
-        self._acquire_pool()
         try:
             with TRACER.span("batch", {"jobs": len(jobs)}):
                 report = await self._runner(jobs)
@@ -217,8 +186,6 @@ class JobBatcher:
                 )
                 for key, job in batch
             }
-        finally:
-            self._release_pool()
         for key, job in batch:
             future = self._inflight.pop(key, None)
             if future is None or future.done():
@@ -255,5 +222,4 @@ class JobBatcher:
             "batches_run": self.batches_run,
             "jobs_run": self.jobs_run,
             "singleflight_joins": self.singleflight_joins,
-            "pool_batches_active": self._pool_active,
         }

@@ -41,7 +41,6 @@ from ..dse.service import DSEManager
 from ..observe.events import HUB
 from ..observe.service import ui_asset
 from ..perf import PERF
-from ..runtime.budget import BUDGET
 from ..runtime.cache import ResultCache
 from ..runtime.jobs import SimJob
 from ..telemetry import METRICS, TRACER
@@ -357,7 +356,6 @@ class SimulationService:
             "tile_cache": self._tile_cache_stats(),
             "latency": self.latency.snapshot(),
             "telemetry": TRACER.snapshot(),
-            "worker_budget": BUDGET.snapshot(),
             "dse": self.dse.stats(),
             "observe": (
                 self.observe.snapshot() if self.observe is not None else None
@@ -600,7 +598,6 @@ class SimulationService:
             "admission": self.admission.snapshot(),
             "batcher": self.batcher.snapshot(),
             "latency": self.latency.snapshot(),
-            "worker_budget": BUDGET.snapshot(),
         }
 
     def begin_drain(self) -> None:

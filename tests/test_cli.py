@@ -82,17 +82,6 @@ class TestParser:
         assert main(["cache", "prune"]) == 2
         assert "--max-age and/or --max-bytes" in capsys.readouterr().err
 
-    def test_simulate_tile_workers(self):
-        args = build_parser().parse_args(
-            ["simulate", "--tile-workers", "3"]
-        )
-        assert args.tile_workers == 3
-        assert build_parser().parse_args(["simulate"]).tile_workers == 1
-        for bad in ("0", "-3"):
-            with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(["simulate", "--tile-workers", bad])
-            assert exc.value.code == 2
-
     def test_cluster_defaults(self):
         args = build_parser().parse_args(["cluster"])
         assert args.replicas == 2

@@ -397,54 +397,3 @@ class TestDrain:
             return outcome
 
         assert asyncio.run(run()).ok
-
-
-class TestPoolBudget:
-    """The batch pool leases its workers from the shared budget, so a
-    concurrent tile fan-out and the pool can't both size to the CPUs."""
-
-    def test_pool_lease_clamps_and_restores_max_workers(self, monkeypatch):
-        from repro.runtime.budget import BUDGET
-        from repro.runtime.executor import ProcessExecutor
-
-        monkeypatch.setattr(BUDGET, "total", 4)
-        executor = ProcessExecutor(8)
-        observed = {}
-
-        async def runner(jobs):
-            observed["during"] = executor.max_workers
-            observed["budget"] = BUDGET.snapshot()["leases"].get("serve-batch")
-            return SweepReport(
-                [JobOutcome(job, job_key(job), None) for job in jobs],
-                SweepMetrics(),
-            )
-
-        async def run():
-            batcher = JobBatcher(
-                executor=executor, runner=runner, batch_window=0.0
-            )
-            await batcher.submit(SimJob(**SMALL))
-            return batcher
-
-        batcher = asyncio.run(run())
-        # While the batch ran, the pool was clamped to the budget grant;
-        # afterwards the configured size (and the lease) is restored.
-        assert observed["during"] == 4
-        assert observed["budget"] == 4
-        assert executor.max_workers == 8
-        assert BUDGET.snapshot()["leases"].get("serve-batch") is None
-        assert batcher.snapshot()["pool_batches_active"] == 0
-
-    def test_no_executor_means_no_lease(self):
-        from repro.runtime.budget import BUDGET
-
-        calls = []
-
-        async def run():
-            batcher = JobBatcher(
-                runner=make_runner(calls), batch_window=0.0
-            )
-            await batcher.submit(SimJob(**SMALL))
-
-        asyncio.run(run())
-        assert BUDGET.snapshot()["leases"].get("serve-batch") is None

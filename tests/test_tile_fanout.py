@@ -1,12 +1,9 @@
-"""Property tests for intra-job tile parallelism.
+"""Property tests for a layer's tile loop and its per-tile cache.
 
-Pins the contract the tentpole rests on: shard planning is deterministic
-and order-preserving, the fan-out driver returns per-tile results in
-tile order with bit-identical aggregates under serial / sharded / cached
-execution (analytical and cycle tiers, both NoC engines), a mid-shard
-worker crash degrades to serial recovery without changing a single bit,
-and the shared worker budget stops serve's pool and tile fan-out from
-oversubscribing the machine together.
+Pins the contract the tile loop rests on: the helper returns per-tile
+results in tile order, hands only the cold tiles to the worker, and the
+aggregates are bit-identical uncached, cold-cached and warm-cached
+(analytical tier) and under either NoC engine (cycle tier).
 """
 
 import json
@@ -21,137 +18,90 @@ from repro.graphs.generators import power_law_graph
 from repro.graphs.tiling import tile_graph
 from repro.models.workload import LayerDims
 from repro.models.zoo import get_model
-from repro.runtime.budget import _WORKER_ENV, BUDGET, WorkerBudget
+from repro.perf import PERF
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import FakeExecutor
-from repro.runtime.shards import (
-    TileShardPlanner,
-    run_tile_shards,
-    tile_sub_key,
-)
+from repro.runtime.shards import clear_tile_memo, run_tile_shards, tile_sub_key
+
+TILE_COUNTERS = ("tiles.cache_hit", "tiles.memo_hit", "tiles.cache_miss")
 
 
-def _shard_echo(job):
-    """Module-level worker (picklable): tags each tile with its shard."""
-    return {
-        "tiles": [
-            {"value": payload * 10, "shard": job.shard_index}
-            for payload in job.payloads
-        ]
-    }
-
-
-class TestTileShardPlanner:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_shards_concatenate_to_tile_order(self, seed):
-        rng = random.Random(seed)
-        costs = [rng.randint(1, 1000) for _ in range(rng.randint(1, 60))]
-        workers = rng.randint(1, 8)
-        planner = TileShardPlanner(
-            shards_per_worker=rng.randint(1, 3),
-            min_shard_cost=rng.choice([0.0, 100.0]),
-        )
-        shards = planner.plan(costs, workers)
-        flat = [i for shard in shards for i in shard.tile_indices]
-        assert flat == list(range(len(costs)))
-        assert [s.index for s in shards] == list(range(len(shards)))
-        # Deterministic: same inputs, same plan.
-        again = planner.plan(costs, workers)
-        assert [s.tile_indices for s in again] == [
-            s.tile_indices for s in shards
-        ]
-
-    def test_single_worker_is_one_shard(self):
-        shards = TileShardPlanner().plan([5, 5, 5], workers=1)
-        assert len(shards) == 1
-        assert shards[0].tile_indices == (0, 1, 2)
-
-    def test_min_shard_cost_batches_small_tiles(self):
-        # 16 unit-cost tiles, 4 workers: without a floor this would make
-        # 8 shards; a floor of 8 allows only ceil(16/8) = 2.
-        planner = TileShardPlanner(shards_per_worker=2, min_shard_cost=8.0)
-        shards = planner.plan([1.0] * 16, workers=4)
-        assert len(shards) == 2
-
-    def test_empty(self):
-        assert TileShardPlanner().plan([], workers=4) == []
+def _echo(cold):
+    return {"tiles": [{"value": payload * 10} for payload in cold.payloads]}
 
 
 class TestRunTileShards:
-    @pytest.fixture(autouse=True)
-    def _four_workers(self, monkeypatch):
-        # The CI box may be single-core; the fan-out paths under test
-        # need the shared budget to actually grant parallel workers.
-        monkeypatch.setattr(BUDGET, "total", 4)
-        monkeypatch.delenv(_WORKER_ENV, raising=False)
-
-    def test_results_in_tile_order(self):
+    def test_results_in_tile_order(self, tmp_path):
+        """Warm and cold tiles interleave; the worker sees only the cold
+        ones, and the results still come back in tile order."""
+        clear_tile_memo()
+        cache = ResultCache(tmp_path)
         payloads = list(range(13))
-        out = run_tile_shards(
-            payloads,
-            _shard_echo,
-            kind="echo",
-            tile_workers=4,
-            executor=FakeExecutor(fn=_shard_echo),
+        keys = [tile_sub_key("echo", {"p": p}) for p in payloads]
+        warm = payloads[::3]
+        run_tile_shards(
+            warm, _echo, kind="echo", tile_keys=keys[::3], cache=cache
         )
+        seen = []
+
+        def worker(cold):
+            seen.append(cold.tile_indices)
+            return _echo(cold)
+
+        out = run_tile_shards(
+            payloads, worker, kind="echo", tile_keys=keys, cache=cache
+        )
+        assert seen == [tuple(i for i in payloads if i % 3)]
+        assert out.stats["cache_hits"] == len(warm)
         assert [p["value"] for p in out.payloads] == [
             v * 10 for v in payloads
         ]
 
-    def test_mid_shard_crash_recovers_serially(self):
-        payloads = list(range(12))
-        clean = run_tile_shards(
-            payloads,
-            _shard_echo,
-            kind="echo",
-            tile_workers=4,
-            executor=FakeExecutor(fn=_shard_echo),
-        )
-        assert clean.stats["shards"] > 1
-
-        # Crash one middle shard: its tiles must come back identical via
-        # the in-process serial retry.
-        crashed = run_tile_shards(
-            payloads,
-            _shard_echo,
-            kind="echo",
-            tile_workers=4,
-            executor=FakeExecutor(
-                fn=_shard_echo, fail_when=lambda job: job.shard_index == 1
-            ),
-        )
-        assert crashed.stats["recovered_shards"] == 1
-        assert crashed.payloads == clean.payloads
-
-    def test_in_process_failing_shard_runs_once(self):
-        """Without a pool there is no worker crash to recover from: a
-        shard that raises runs once and its own exception propagates."""
+    def test_raising_worker_fails_once(self):
+        """A worker that raises runs once and its own exception
+        propagates."""
         calls = []
 
-        def failing(job):
-            calls.append(job.shard_index)
-            raise RuntimeError("shard failed")
+        def failing(cold):
+            calls.append(cold.tile_indices)
+            raise RuntimeError("tile failed")
 
-        with pytest.raises(RuntimeError, match="shard failed"):
-            run_tile_shards([1, 2, 3], failing, kind="echo", tile_workers=1)
-        assert calls == [0]
+        with pytest.raises(RuntimeError, match="tile failed"):
+            run_tile_shards([1, 2, 3], failing, kind="echo")
+        assert calls == [(0, 1, 2)]
 
     def test_cache_probe_and_store(self, tmp_path):
         cache = ResultCache(tmp_path)
         payloads = [1, 2, 3, 4]
         keys = [tile_sub_key("echo", {"p": p}) for p in payloads]
         cold = run_tile_shards(
-            payloads, _shard_echo, kind="echo", tile_keys=keys, cache=cache
+            payloads, _echo, kind="echo", tile_keys=keys, cache=cache
         )
         assert cold.stats["cache_hits"] == 0
+
+        def unreachable(cold):
+            raise AssertionError("a warm layer must not call the worker")
+
         warm = run_tile_shards(
-            payloads, _shard_echo, kind="echo", tile_keys=keys, cache=cache
+            payloads, unreachable, kind="echo", tile_keys=keys, cache=cache
         )
         assert warm.stats["cache_hits"] == 4
-        assert warm.stats["shards"] == 0
         assert [p["value"] for p in warm.payloads] == [
             p["value"] for p in cold.payloads
         ]
+
+    def test_counters_move_only_when_a_cache_is_probed(self, tmp_path):
+        def counts():
+            return [PERF.counters.get(name, 0) for name in TILE_COUNTERS]
+
+        before = counts()
+        run_tile_shards([1, 2, 3], _echo, kind="echo")
+        assert counts() == before
+        keys = [tile_sub_key("echo", {"p": p}) for p in (1, 2, 3)]
+        run_tile_shards(
+            [1, 2, 3], _echo, kind="echo", tile_keys=keys,
+            cache=ResultCache(tmp_path),
+        )
+        assert counts() == [before[0], before[1], before[2] + 3]
 
 
 def _graph(seed: int):
@@ -165,13 +115,11 @@ def _graph(seed: int):
     )
 
 
-class TestAnalyticalFanoutIdentity:
-    """Serial vs sharded vs cached AuroraSimulator: bit-identical."""
+class TestAnalyticalCacheIdentity:
+    """Uncached vs cold-cached vs warm-cached AuroraSimulator."""
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_serial_vs_sharded_bit_identical(self, seed, monkeypatch):
-        monkeypatch.setattr(BUDGET, "total", 4)
-        monkeypatch.delenv(_WORKER_ENV, raising=False)
+    def test_uncached_vs_cached_bit_identical(self, seed, tmp_path):
         g = _graph(seed)
         model = get_model(
             random.Random(seed).choice(["gcn", "gin", "graphsage-mean"])
@@ -179,32 +127,22 @@ class TestAnalyticalFanoutIdentity:
         dims = LayerDims(g.num_features, 8)
         # Small buffer so the graph splits into several tiles.
         cfg = AcceleratorConfig(array_k=4, pe_buffer_bytes=2048)
-        serial = AuroraSimulator(cfg).simulate_layer(model, g, dims)
-        sharded = AuroraSimulator(cfg, tile_workers=3).simulate_layer(
-            model, g, dims
-        )
-        assert serial.num_tiles > 1
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            sharded.to_dict(), sort_keys=True
-        )
-
-    def test_cached_rerun_bit_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(BUDGET, "total", 4)
-        g = _graph(99)
-        model = get_model("gcn")
-        dims = LayerDims(g.num_features, 8)
-        cfg = AcceleratorConfig(array_k=4, pe_buffer_bytes=2048)
+        uncached = AuroraSimulator(cfg).simulate_layer(model, g, dims)
+        assert uncached.num_tiles > 1
+        ref = json.dumps(uncached.to_dict(), sort_keys=True)
         cache = ResultCache(tmp_path)
-        serial = AuroraSimulator(cfg).simulate_layer(model, g, dims)
-        cold = AuroraSimulator(
-            cfg, tile_workers=2, tile_cache=cache
-        ).simulate_layer(model, g, dims)
-        warm = AuroraSimulator(
-            cfg, tile_workers=2, tile_cache=cache
-        ).simulate_layer(model, g, dims)
-        ref = json.dumps(serial.to_dict(), sort_keys=True)
+        cold_sim = AuroraSimulator(cfg, tile_cache=cache)
+        cold = cold_sim.simulate_layer(model, g, dims)
+        assert cold_sim.take_tile_stats()["reused"] == 0
+        # Warm from the memory tier, then from disk alone.
+        for clear in (False, True):
+            if clear:
+                clear_tile_memo()
+            warm_sim = AuroraSimulator(cfg, tile_cache=cache)
+            warm = warm_sim.simulate_layer(model, g, dims)
+            assert warm_sim.take_tile_stats()["reused"] == uncached.num_tiles
+            assert json.dumps(warm.to_dict(), sort_keys=True) == ref
         assert json.dumps(cold.to_dict(), sort_keys=True) == ref
-        assert json.dumps(warm.to_dict(), sort_keys=True) == ref
 
 
 #: Engine names that are not registered: a typo and the removed engines.
@@ -212,7 +150,7 @@ UNKNOWN_ENGINES = ["warp-drive", "fused", "numba", "auto"]
 
 
 class TestCycleLayerIdentity:
-    """run_cycle_layer: serial vs sharded vs engines, all bit-identical."""
+    """run_cycle_layer: both engines and the tile cache, all bit-identical."""
 
     def _setup(self):
         g = power_law_graph(
@@ -223,22 +161,17 @@ class TestCycleLayerIdentity:
         cfg = AcceleratorConfig(array_k=8, noc=NoCConfig())
         return get_model("gcn"), plan, LayerDims(16, 16), cfg
 
-    def test_serial_vs_sharded_vs_engines(self, monkeypatch):
-        monkeypatch.setattr(BUDGET, "total", 4)
+    def test_event_vs_reference_engine(self):
         model, plan, dims, cfg = self._setup()
-        serial = run_cycle_layer(model, plan, dims, config=cfg)
-        sharded = run_cycle_layer(
-            model, plan, dims, config=cfg, tile_workers=4
-        )
+        event = run_cycle_layer(model, plan, dims, config=cfg)
         reference = run_cycle_layer(
             model, plan, dims, config=cfg, noc_engine="reference"
         )
-        base = [t.to_payload() for t in serial.tiles]
-        for other in (sharded, reference):
-            assert [t.to_payload() for t in other.tiles] == base
+        assert [t.to_payload() for t in reference.tiles] == [
+            t.to_payload() for t in event.tiles
+        ]
 
-    def test_engine_agnostic_cache_keys(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(BUDGET, "total", 2)
+    def test_engine_agnostic_cache_keys(self, tmp_path):
         model, plan, dims, cfg = self._setup()
         cache = ResultCache(tmp_path)
         first = run_cycle_layer(
@@ -270,32 +203,3 @@ class TestCycleLayerIdentity:
                     model, plan, dims, config=cfg, cache=cache,
                     noc_engine=name,
                 )
-
-
-class TestWorkerBudget:
-    def test_lease_grants_remainder(self):
-        budget = WorkerBudget(total=8)
-        assert budget.lease("serve-batch", 6) == 6
-        assert budget.lease("tile-fanout", 6) == 2
-        snap = budget.snapshot()
-        assert snap["leased"] == 8
-        assert snap["available"] == 0
-        budget.release("serve-batch")
-        assert budget.lease("tile-fanout", 6) == 6
-
-    def test_lease_never_below_one(self):
-        budget = WorkerBudget(total=2)
-        assert budget.lease("a", 2) == 2
-        assert budget.lease("b", 4) == 1  # serial is always allowed
-
-    def test_pool_worker_always_serial(self, monkeypatch):
-        budget = WorkerBudget(total=16)
-        monkeypatch.setenv(_WORKER_ENV, "1")
-        assert budget.lease("tile-fanout", 8) == 1
-        assert budget.snapshot()["in_pool_worker"] is True
-
-    def test_relesase_replaces_not_accumulates(self):
-        budget = WorkerBudget(total=8)
-        assert budget.lease("a", 4) == 4
-        assert budget.lease("a", 8) == 8  # replaces the old lease
-        assert budget.snapshot()["leases"] == {"a": 8}
