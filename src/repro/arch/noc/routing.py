@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .topology import BypassSegment, FlexibleMeshTopology
+from .topology import FlexibleMeshTopology
 
 __all__ = [
     "xy_route",
@@ -72,52 +72,60 @@ def bypass_choice(
     route, so plain XY wins a tie, and among equally long segments the
     first in ``topo.bypass_segments`` order wins.
 
-    Flows are bucketed by source row (row segments) and destination
-    column (column segments), and only lines that both carry a segment
-    and hold a flow are visited, so a one-pair call stays cheap.  Row
-    segments precede column segments in ``bypass_segments`` and a line
-    keeps its segments in insertion order, so visiting by line keeps
-    that tie order.
+    Each line (row or column) that carries a usable segment and holds a
+    flow gets a k×k table indexed by a flow's span ``(lo, hi)`` along
+    it.  An entry holds one packed code, hops saved first and the
+    segment's rank in ``bypass_segments`` second (an earlier segment
+    ranks higher), so the largest code is the rule's pick.  A segment
+    is usable for every span with ``lo <= start`` and ``hi >= end``, so
+    it raises ``table[:start + 1, end:]`` to its code.  A flow then
+    costs two gathers (its source row's table, its destination column's
+    table) and a max; row segments precede column segments in
+    ``bypass_segments``, so a row wins an equal-length tie.
     """
     sx, sy, dx, dy = (np.asarray(a, dtype=np.int64) for a in (sx, sy, dx, dy))
     hops = np.abs(sx - dx) + np.abs(sy - dy)
     seg = np.full(hops.shape, -1, dtype=np.int64)
     direction = np.zeros(hops.shape, dtype=np.int64)
     segments = topo.bypass_segments
-    by_line: dict[tuple[str, int], list[tuple[int, BypassSegment]]] = {}
-    for i, s in enumerate(segments):
-        if s.length > 1:  # a one-hop segment never beats its mesh link
-            by_line.setdefault((s.axis, s.line), []).append((i, s))
-    if not by_line or not hops.size:
+    if not segments or not hops.size:
         return hops, seg, direction
-    saved = np.zeros(hops.shape, dtype=np.int64)
+    # Code 0 is plain XY; ``m`` exceeds every tie-break rank.
+    k, m = topo.k, len(segments) + 1
+    code = np.zeros(hops.shape, dtype=np.int64)
     # Per axis: the flow's line, then its position along the segment's
     # axis at the source and at the destination.
     axes = {"row": (sy, sx, dx), "col": (dx, sy, dy)}
-    occupied: dict[str, list[int]] = {}
-    for (axis, line), members in by_line.items():
-        key, a, b = axes[axis]
-        if axis not in occupied:
-            occupied[axis] = np.bincount(key, minlength=topo.k).tolist()
-        if not occupied[axis][line]:
+    for axis, (line, a, b) in axes.items():
+        # Only lines that hold a flow get a table, so a one-pair call
+        # fills at most one per axis.
+        held = np.bincount(line, minlength=k).tolist()
+        slots: dict[int, int] = {}  # line → its table (0: no segment)
+        fills = []
+        for i, s in enumerate(segments):
+            # A one-hop segment never beats its mesh link.
+            if s.axis == axis and s.length > 1 and held[s.line]:
+                fills.append((slots.setdefault(s.line, len(slots) + 1), i, s))
+        if not fills:
             continue
-        idx = np.flatnonzero(key == line)
-        lo, hi = np.minimum(a[idx], b[idx]), np.maximum(a[idx], b[idx])
-        cur_saved, cur_seg = saved[idx], seg[idx]
-        for i, s in members:
-            ok = (lo <= s.start) & (hi >= s.end) & (s.length - 1 > cur_saved)
-            cur_saved = np.where(ok, s.length - 1, cur_saved)
-            cur_seg = np.where(ok, i, cur_seg)
-        saved[idx], seg[idx] = cur_saved, cur_seg
-    chosen = np.flatnonzero(seg >= 0)
+        tables = np.zeros((len(slots) + 1, k, k), dtype=np.int64)
+        for t, i, s in fills:
+            block = tables[t, : s.start + 1, s.end :]
+            np.maximum(block, (s.length - 1) * m + m - 1 - i, out=block)
+        slot = np.zeros(k, dtype=np.int64)
+        slot[list(slots)] = list(slots.values())
+        flat = (slot[line] * k + np.minimum(a, b)) * k + np.maximum(a, b)
+        np.maximum(code, tables.ravel()[flat], out=code)
+    chosen = np.flatnonzero(code)
     if chosen.size:
+        seg[chosen] = m - 1 - code[chosen] % m
         # Entered at ``start`` exactly when the flow travels towards ``end``.
         is_row = np.array([s.axis == "row" for s in segments])[seg[chosen]]
         forward = np.where(
             is_row, sx[chosen] < dx[chosen], sy[chosen] < dy[chosen]
         )
         direction[chosen] = np.where(forward, 1, -1)
-    return hops - saved, seg, direction
+    return hops - code // m, seg, direction
 
 
 def _express_route(

@@ -93,6 +93,8 @@ class FlexibleMeshTopology:
         self.k = k
         self._row_segments: list[BypassSegment] = []
         self._col_segments: list[BypassSegment] = []
+        # The same segments by physical link, for the overlap check.
+        self._link_segments: dict[tuple[str, int], list[BypassSegment]] = {}
         self._rings: list[RingConfig] = []
 
     # ------------------------------------------------------------------
@@ -136,6 +138,7 @@ class FlexibleMeshTopology:
     def clear_configuration(self) -> None:
         self._row_segments.clear()
         self._col_segments.clear()
+        self._link_segments.clear()
         self._rings.clear()
 
     def add_bypass_segment(self, segment: BypassSegment) -> None:
@@ -145,14 +148,18 @@ class FlexibleMeshTopology:
             raise ValueError("segment line outside mesh")
         if segment.end >= self.k:
             raise ValueError("segment end outside mesh")
-        pool = self._row_segments if segment.axis == "row" else self._col_segments
-        for existing in pool:
+        link = self._link_segments.setdefault((segment.axis, segment.line), [])
+        for existing in link:
             if segment.overlaps(existing):
                 raise ValueError(
                     f"segment {segment} overlaps configured segment {existing} "
                     "on the same physical bypass link"
                 )
-        pool.append(segment)
+        link.append(segment)
+        if segment.axis == "row":
+            self._row_segments.append(segment)
+        else:
+            self._col_segments.append(segment)
 
     @property
     def bypass_segments(self) -> list[BypassSegment]:

@@ -232,8 +232,9 @@ class CycleTileEngine:
         # ---- NoC: inject the aggregation feature distribution -----------
         payload = dims.in_features * cfg.bytes_per_value
         mc = multicast_flows(sub, mapping, payload)
+        flows = mc.flows  # derived on access: read it once
         sim = self.NOC_ENGINES[self.noc_engine](plan.topology, cfg.noc)
-        n_packets = mc.flows.shape[0]
+        n_packets = flows.shape[0]
         if n_packets > self.MAX_PACKETS:
             raise ValueError(
                 f"tile generates {n_packets} packets; exceed the cycle-tier "
@@ -249,7 +250,7 @@ class CycleTileEngine:
                 sim.route_pairs(mc.pairs[:, :2])
         # Every packet is injected at the current cycle.
         with TRACER.span("cycle.inject"):
-            for src, dst, nbytes in mc.flows.tolist():
+            for src, dst, nbytes in flows.tolist():
                 sim.inject(int(src), int(dst), int(nbytes), cycle=None)
         try:
             with TRACER.span("cycle.noc", {"packets": n_packets}):

@@ -45,7 +45,10 @@ class MulticastTraffic:
       bottleneck the model reports is governed by the near-source links
       and the (exact) ejection/injection port loads.  The flit-level
       validator (`arch.noc.multicast`) measures the exact tree volume;
-      `tests/test_multicast.py` pins the relationship;
+      `tests/test_multicast.py` pins the relationship.  One row per
+      delivery (a remote (source vertex, destination PE) pair), sorted
+      by that pair; only the flit-level tier reads them, so they are
+      derived on access;
     * ``pairs`` — ``flows`` merged per (src_pe, dst_pe), bytes summed,
       sorted by ``src * num_nodes + dst``: what :func:`aggregate_flows`
       returns for ``flows``;
@@ -53,12 +56,28 @@ class MulticastTraffic:
       destination consumes the entire vector);
     * ``inject_bytes[node]`` — one payload per source vertex (the tree is
       fed once).
+
+    The deliveries themselves are kept grouped by pair: ``pair_sizes``
+    counts each pair's deliveries, and ``sources`` / ``shares`` hold
+    each delivery's source vertex (numbered across the layer, so only
+    its order within a tile means anything) and tree-shared bytes.
     """
 
-    flows: np.ndarray  # (u, 3): src_pe, dst_pe, tree-shared bytes
     pairs: np.ndarray  # (p, 3): src_pe, dst_pe, summed bytes
     eject_bytes: np.ndarray  # per-node full ejection bytes
     inject_bytes: np.ndarray  # per-node injection bytes (once per vertex)
+    sources: np.ndarray  # (u,): source vertex per delivery, pair order
+    shares: np.ndarray  # (u,): tree-shared bytes per delivery
+    pair_sizes: np.ndarray  # (p,): deliveries per pair
+
+    @property
+    def flows(self) -> np.ndarray:
+        """``(u, 3)`` rows ``(src_pe, dst_pe, tree-shared bytes)`` in
+        (source vertex, destination PE) order."""
+        src = np.repeat(self.pairs[:, 0], self.pair_sizes)
+        dst = np.repeat(self.pairs[:, 1], self.pair_sizes)
+        order = np.lexsort((dst, self.sources))
+        return np.column_stack((src, dst, self.shares))[order]
 
     def matrix(self, flit_bytes: int, k: int) -> TrafficMatrix:
         """The aggregated pairs as a :class:`TrafficMatrix` on a k×k
@@ -95,8 +114,8 @@ def batched_multicast_flows(
     ``tests/test_traffic_batched.py``), but the edge→flow extraction,
     remote filtering, (source vertex, destination PE) dedup, pair
     aggregation and port counts run over the layer's concatenated edge
-    array with tile-composite keys: one sort, one argsort and two
-    ``bincount`` calls per layer, whatever the tile count.
+    array with one fused key per edge: one sort and three ``bincount``
+    calls per layer, whatever the tile count.
     """
     if len(subs) != len(mappings):
         raise ValueError("need one mapping per subgraph")
@@ -113,69 +132,85 @@ def _batched_multicast_flows(
 ) -> list[MulticastTraffic]:
     num_nodes = mappings[0].region.array_k ** 2
     n_tiles = len(subs)
-    key_parts: list[np.ndarray] = []
-    voff = np.zeros(n_tiles + 1, dtype=np.int64)
-    for t, (sub, mapping) in enumerate(zip(subs, mappings)):
+    for sub, mapping in zip(subs, mappings):
         if mapping.vertex_to_pe.size != sub.num_vertices:
             raise ValueError("mapping does not cover the graph's vertices")
         if mapping.region.array_k ** 2 != num_nodes:
             raise ValueError("all mappings must target the same array size")
-        voff[t + 1] = voff[t] + sub.num_vertices
-        if sub.num_edges == 0:
-            continue
-        # Tile-composite key ``global source vertex * num_nodes + dst PE``:
-        # the global vertex id already encodes the tile, so one dedup
-        # covers every tile without collisions.
-        key = np.repeat(
-            np.arange(voff[t], voff[t + 1], dtype=np.int64) * num_nodes,
-            sub.degrees,
-        )
-        dst_pe = mapping.vertex_to_pe[sub.indices]
-        key += dst_pe
-        remote = np.repeat(mapping.vertex_to_pe, sub.degrees) != dst_pe
-        key_parts.append(key[remote])
+    sizes = [sub.num_vertices for sub in subs]
+    n_vert = sum(sizes)
+    _check_key_bound(n_tiles, num_nodes, n_vert)
 
-    key = sorted_unique(np.concatenate(key_parts or [np.empty(0, np.int64)]))
-    # Rows are sorted by (global source vertex, destination PE), hence
-    # grouped by tile and by source vertex.
-    gsrc = key // num_nodes
-    dst_pe = key - gsrc * num_nodes
-    src_pe = np.concatenate([m.vertex_to_pe for m in mappings])[gsrc]
-    first = run_starts(gsrc)  # each source vertex's first row: its sender
-    n_dst = np.diff(first, append=gsrc.size)
-    share = np.repeat(np.maximum(payload_bytes // n_dst, 1), n_dst)
-    flows = np.column_stack((src_pe, dst_pe, share))
-    bounds = np.searchsorted(gsrc, voff)
-    tile_of = np.repeat(np.arange(n_tiles, dtype=np.int64), np.diff(bounds))
-
-    # Every tile's (src PE, dst PE) byte sums in one grouping over a
-    # (tile, src, dst) composite key; its order is each tile's
-    # ``aggregate_flows`` order.
-    pkey, sums = group_sum(
-        (tile_of * num_nodes + src_pe) * num_nodes + dst_pe, share
+    # One key per remote edge, ordered (tile, src PE, dst PE, global
+    # source vertex): its sorted unique values are the deliveries, each
+    # (source vertex, destination PE) once, grouped by tile and pair.
+    v2p = np.concatenate([m.vertex_to_pe for m in mappings], dtype=np.int64)
+    tile_of = np.repeat(np.arange(n_tiles, dtype=np.int64), sizes)
+    src_key = (tile_of * num_nodes + v2p) * (num_nodes * n_vert)
+    src_key += np.arange(n_vert)  # each vertex's key for dst PE 0
+    degrees = np.concatenate([sub.degrees for sub in subs])
+    dst_pe = np.concatenate(
+        [m.vertex_to_pe[sub.indices] for sub, m in zip(subs, mappings)],
+        dtype=np.int64,
     )
+    key = np.repeat(src_key, degrees)
+    key += dst_pe * n_vert
+    key = sorted_unique(key[np.repeat(v2p, degrees) != dst_pe])
+
+    prefix = key // n_vert  # tile, src PE, dst PE
+    vertex = key - prefix * n_vert
+    fanout = np.bincount(vertex, minlength=n_vert)  # destinations per vertex
+    share = np.maximum(payload_bytes // np.maximum(fanout, 1), 1)[vertex]
+    starts = run_starts(prefix)  # each pair's first delivery
+    pair_sizes = np.diff(starts, append=key.size)
+    # Per-pair byte sums as differences of the running total at each
+    # pair's last delivery (exact in int64, unlike a weighted bincount,
+    # and cheaper than ``np.add.reduceat`` over many short runs).
+    sums = np.diff(np.cumsum(share)[starts + pair_sizes - 1], prepend=0)
+    pkey = prefix[starts]
     ptile = pkey // (num_nodes * num_nodes)
     pair = pkey - ptile * (num_nodes * num_nodes)
-    pairs = np.column_stack((pair // num_nodes, pair % num_nodes, sums))
+    pdst = pair % num_nodes
+    pairs = np.column_stack((pair // num_nodes, pdst, sums))
     pbounds = np.searchsorted(ptile, np.arange(n_tiles + 1))
+    rbounds = np.append(starts, key.size)[pbounds]
 
+    # Every delivery ejects the full payload (float64 sums of integer
+    # counts are exact below 2**53); every vertex that sends injects it
+    # once.
     eject = np.bincount(
-        tile_of * num_nodes + dst_pe, minlength=n_tiles * num_nodes
-    ).reshape(n_tiles, num_nodes) * payload_bytes
+        ptile * num_nodes + pdst, weights=pair_sizes, minlength=n_tiles * num_nodes
+    ).astype(np.int64).reshape(n_tiles, num_nodes) * payload_bytes
+    sender = np.flatnonzero(fanout)
     inject = np.bincount(
-        tile_of[first] * num_nodes + src_pe[first],
+        tile_of[sender] * num_nodes + v2p[sender],
         minlength=n_tiles * num_nodes,
     ).reshape(n_tiles, num_nodes) * payload_bytes
 
     return [
         MulticastTraffic(
-            flows=flows[bounds[t] : bounds[t + 1]],
             pairs=pairs[pbounds[t] : pbounds[t + 1]],
             eject_bytes=eject[t],
             inject_bytes=inject[t],
+            sources=vertex[rbounds[t] : rbounds[t + 1]],
+            shares=share[rbounds[t] : rbounds[t + 1]],
+            pair_sizes=pair_sizes[pbounds[t] : pbounds[t + 1]],
         )
         for t in range(n_tiles)
     ]
+
+
+def _check_key_bound(n_tiles: int, num_nodes: int, num_vertices: int) -> None:
+    """Raise unless the layer's fused sort keys fit in int64.
+
+    A key packs (tile, src PE, dst PE, global source vertex), so the
+    largest is ``tiles·N²·V - 1`` for ``N`` nodes and ``V`` vertices.
+    """
+    if n_tiles * num_nodes**2 * num_vertices >= 2**63:
+        raise ValueError(
+            f"layer too large for one int64 sort key: tiles·N²·V = "
+            f"{n_tiles}·{num_nodes}²·{num_vertices} must be below 2**63"
+        )
 
 
 def edge_flows(

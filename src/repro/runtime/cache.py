@@ -137,8 +137,10 @@ class ResultCache:
         }
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
+            # ``dumps`` runs the C encoder; ``dump`` to a file streams
+            # through the pure-Python one.  The text is the same.
             with os.fdopen(fd, "w") as handle:
-                json.dump(blob, handle)
+                handle.write(json.dumps(blob))
             os.replace(tmp, path)
         except BaseException:
             try:

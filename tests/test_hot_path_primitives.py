@@ -8,6 +8,11 @@ a generic dispatch path with ``return_index``) and ``np.add.at`` /
 ``np.sort`` plus a neighbour mask, ``argsort`` + ``np.add.reduceat``
 and weighted ``np.bincount`` (docs/performance.md).  This parses each
 function's source and fails if one of those primitives comes back.
+
+The multicast kernel sorts once per layer: its dedup sort already
+groups the deliveries by (tile, src PE, dst PE), so a second sort
+(``argsort``, ``lexsort`` or the argsort inside ``group_sum``) is
+banned there too.
 """
 
 import ast
@@ -17,6 +22,7 @@ import textwrap
 import pytest
 
 from repro import arrays
+from repro.arch.noc import routing
 from repro.arch.noc.analytical import AnalyticalNoCModel, TrafficMatrix
 from repro.mapping import traffic
 from repro.partition import algorithm
@@ -26,6 +32,7 @@ HOT_PATH = {
     "mapping.traffic.aggregate_flows": traffic.aggregate_flows,
     "TrafficMatrix.from_flows": TrafficMatrix.from_flows,
     "AnalyticalNoCModel._link_loads": AnalyticalNoCModel._link_loads,
+    "arch.noc.routing.bypass_choice": routing.bypass_choice,
     "partition.algorithm.partition": algorithm.partition,
     "partition.algorithm._t_a": algorithm._t_a,
     "partition.algorithm._t_b": algorithm._t_b,
@@ -39,6 +46,8 @@ BANNED = {
     for mod in ("np", "numpy")
     for name in ("unique", "add.at", "subtract.at")
 }
+
+SECOND_SORTS = {"argsort", "lexsort", "group_sum"}
 
 
 def _dotted(node):
@@ -63,6 +72,18 @@ def banned_uses(source: str) -> set:
     }
 
 
+def second_sorts(source: str) -> set:
+    """Sorting primitives other than the one dedup sort, as a function
+    (``np.argsort``), a method (``keys.argsort()``) or a helper name."""
+    tree = ast.parse(textwrap.dedent(source))
+    return {
+        name
+        for node in ast.walk(tree)
+        if (name := getattr(node, "attr", getattr(node, "id", None)))
+        in SECOND_SORTS
+    }
+
+
 @pytest.mark.parametrize("name", sorted(HOT_PATH))
 def test_hot_path_avoids_slow_primitives(name):
     assert banned_uses(inspect.getsource(HOT_PATH[name])) == set()
@@ -81,3 +102,21 @@ def test_detector_sees_each_banned_primitive():
         "np.add.at",
         "numpy.subtract.at",
     }
+
+
+def test_multicast_kernel_sorts_once():
+    source = inspect.getsource(traffic._batched_multicast_flows)
+    assert second_sorts(source) == set()
+    assert source.count("sorted_unique(") == 1
+
+
+def test_detector_sees_each_second_sort():
+    source = """
+    def f(a, k, v):
+        order = np.argsort(a)
+        a.argsort(kind="stable")
+        numpy.lexsort((a, k))
+        keys, sums = group_sum(k, v)
+        b = sorted_unique(a)
+    """
+    assert second_sorts(source) == {"argsort", "lexsort", "group_sum"}

@@ -8,11 +8,12 @@ from repro.mapping import (
     MappingResult,
     PERegion,
     aggregate_flows,
+    batched_multicast_flows,
     degree_aware_map,
     edge_flows,
     hashing_map,
 )
-from repro.mapping.traffic import multicast_flows
+from repro.mapping.traffic import _check_key_bound, multicast_flows
 
 
 @pytest.fixture
@@ -308,3 +309,30 @@ class TestMulticastFlows:
         mc = multicast_flows(g, m, 10)
         assert mc.flows.shape[0] == 0
         assert mc.eject_bytes.sum() == 0
+
+    def test_fused_key_bound_at_the_boundary(self):
+        """A layer's keys pack (tile, src PE, dst PE, source vertex) into
+        one int64, so ``tiles·N²·V`` must stay below 2**63."""
+        nodes = 2**30  # N² = 2**60
+        _check_key_bound(1, nodes, 7)
+        _check_key_bound(7, nodes, 1)
+        for tiles, verts in ((1, 8), (8, 1), (2, 4)):
+            with pytest.raises(ValueError, match=r"2\*\*63"):
+                _check_key_bound(tiles, nodes, verts)
+        _check_key_bound(3, 2**10, (2**63 - 1) // (3 * 2**20))
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            _check_key_bound(3, 2**10, -(-(2**63) // (3 * 2**20)))
+
+    def test_oversized_layer_raises_before_building_keys(self):
+        # N = 1449² nodes and V = 2**21 vertices: N²·V just passes 2**63,
+        # while every array the kernel would build stays tens of MB.
+        k, n = 1449, 2**21
+        assert (k * k) ** 2 * n >= 2**63
+        g = from_edge_list(n, [(0, 1), (2, 3)])
+        m = MappingResult(
+            policy="x",
+            region=PERegion(0, 0, 2, 1, k),
+            vertex_to_pe=np.arange(n, dtype=np.int64) % 2,
+        )
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            batched_multicast_flows([g], [m], 10)

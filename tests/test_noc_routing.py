@@ -1,14 +1,19 @@
 """Unit tests for NoC route computation."""
 
 import hashlib
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.noc import (
     BypassSegment,
     FlexibleMeshTopology,
     RingConfig,
+    bypass_choice,
     bypass_route,
     compute_route,
     ring_route,
@@ -215,3 +220,87 @@ class TestPinnedRoutes:
         pairs = [(src, dst) for src in range(n) for dst in range(n)]
         routes = compute_routes(topo, pairs, allow_bypass=allow_bypass)
         assert _route_digest(routes) == self.PINNED[seed]
+
+
+@st.composite
+def bypass_configurations(draw):
+    """A k×k mesh, 2 <= k <= 32, with random non-overlapping segments.
+
+    An optional ring region adds its row segments first (length 1 when
+    the region is two columns wide); about half the segments share one
+    drawn length, so equal-length ties within a line, across lines and
+    across the two axes are common.
+    """
+    k = draw(st.integers(2, 32))
+    topo = FlexibleMeshTopology(k)
+    if draw(st.booleans()):
+        x0 = draw(st.integers(0, k - 2))
+        y0 = draw(st.integers(0, k - 1))
+        topo.add_ring_region(
+            RingConfig(
+                x0,
+                y0,
+                draw(st.integers(x0 + 2, k)),
+                draw(st.integers(y0 + 1, min(k, y0 + 3))),
+            )
+        )
+    tie = draw(st.integers(1, k - 1))
+    for _ in range(draw(st.integers(0, 3 * k))):
+        length = tie if draw(st.booleans()) else draw(st.integers(1, k - 1))
+        start = draw(st.integers(0, k - 1 - length))
+        segment = BypassSegment(
+            draw(st.sampled_from(("row", "col"))),
+            draw(st.integers(0, k - 1)),
+            start,
+            start + length,
+        )
+        try:
+            topo.add_bypass_segment(segment)
+        except ValueError:
+            pass  # overlaps a segment already on that wire
+    return topo
+
+
+def _rule_for_one_flow(candidates, sx, sy, dx, dy):
+    """The bypass rule for one flow, by plain search.
+
+    ``candidates`` are the ``(index, segment)`` entries on the source's
+    row and the destination's column, in ``bypass_segments`` order.  A
+    segment is usable when it lies inside the flow's span along its
+    axis; the one saving the most hops wins, the first of equals wins,
+    and saving nothing (a one-hop segment) loses to plain XY.
+    """
+    saved, seg, direction = 0, -1, 0
+    for i, s in candidates:
+        a, b = (sx, dx) if s.axis == "row" else (sy, dy)
+        if min(a, b) <= s.start and s.end <= max(a, b) and s.length - 1 > saved:
+            saved, seg, direction = s.length - 1, i, 1 if a < b else -1
+    return abs(sx - dx) + abs(sy - dy) - saved, seg, direction
+
+
+class TestBypassRuleBruteForce:
+    """``bypass_choice`` over every (src, dst) pair of random
+    configurations equals the rule applied one flow at a time."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(bypass_configurations())
+    def test_every_pair_matches_the_per_flow_rule(self, topo):
+        k = topo.k
+        rows: dict = {}
+        cols: dict = {}
+        for i, s in enumerate(topo.bypass_segments):
+            (rows if s.axis == "row" else cols).setdefault(s.line, []).append((i, s))
+        coords = [(x, y) for y in range(k) for x in range(k)]
+        want = [
+            _rule_for_one_flow(rows.get(sy, []) + cols.get(dx, []), sx, sy, dx, dy)
+            for sx, sy in coords
+            for dx, dy in coords
+        ]
+        grid = np.array(coords, dtype=np.int64)
+        src = np.repeat(grid, k * k, axis=0)
+        dst = np.tile(grid, (k * k, 1))
+        got = bypass_choice(topo, src[:, 0], src[:, 1], dst[:, 0], dst[:, 1])
+        want = np.fromiter(
+            itertools.chain.from_iterable(want), np.int64, 3 * len(want)
+        )
+        np.testing.assert_array_equal(np.column_stack(got), want.reshape(-1, 3))

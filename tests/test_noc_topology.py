@@ -79,6 +79,27 @@ class TestBypassSegments:
         mesh8.add_bypass_segment(BypassSegment("row", 2, 4, 7))
         assert len(mesh8.bypass_segments) == 2
 
+    def test_segments_keep_insertion_order_rows_first(self, mesh8):
+        segs = [
+            BypassSegment("col", 5, 0, 3),
+            BypassSegment("row", 2, 4, 7),
+            BypassSegment("col", 1, 2, 6),
+            BypassSegment("row", 2, 0, 3),
+            BypassSegment("row", 0, 1, 5),
+        ]
+        for seg in segs:
+            mesh8.add_bypass_segment(seg)
+        assert mesh8.bypass_segments == [segs[1], segs[3], segs[4], segs[0], segs[2]]
+        with pytest.raises(ValueError) as err:
+            mesh8.add_bypass_segment(BypassSegment("row", 2, 2, 5))
+        assert str(err.value) == (
+            f"segment {BypassSegment('row', 2, 2, 5)} overlaps configured "
+            f"segment {segs[1]} on the same physical bypass link"
+        )
+        mesh8.clear_configuration()
+        mesh8.add_bypass_segment(BypassSegment("row", 2, 2, 5))
+        assert len(mesh8.bypass_segments) == 1
+
     def test_different_rows_never_overlap(self, mesh8):
         mesh8.add_bypass_segment(BypassSegment("row", 1, 0, 7))
         mesh8.add_bypass_segment(BypassSegment("row", 2, 0, 7))

@@ -32,6 +32,19 @@ class TestAccounting:
         assert blob["job"]["dataset"] == "pubmed"
         assert blob["fingerprint"] == cache.fingerprint
 
+    def test_stored_text_is_one_json_dumps_of_the_blob(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = SimJob(dataset="cora")
+        result = {"total_seconds": 0.1 + 0.2, "name": "ü", "tiles": [1, [2.5]]}
+        cache.store(KEY, result, job=job)
+        blob = {
+            "fingerprint": cache.fingerprint,
+            "key": KEY,
+            "job": job.as_dict(),
+            "result": result,
+        }
+        assert cache.path_for(KEY).read_text() == json.dumps(blob)
+
     def test_len_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store(KEY, PAYLOAD)
