@@ -6,7 +6,10 @@ with a latency bound that runs no batch, overload shedding — exports the reque
 Chrome ``trace.json`` (validated: well-formed events, at least one
 complete request tree), then checks the SIGTERM drain contract and
 writes the final ``/stats`` snapshot to SERVE_STATS.json.  Both JSON
-files are uploaded as CI artifacts.
+files are uploaded as CI artifacts.  The last requests go over a
+kept-alive connection that stays open and idle across the SIGTERM: the
+server must close it and exit 0 within its drain timeout (Python 3.12+
+``Server.wait_closed`` would otherwise wait on it for ever).
 
 Run from the repo root:
 
@@ -38,6 +41,7 @@ from repro.telemetry.trace import Span  # noqa: E402
 
 SMALL = {"dataset": "cora", "scale": 0.2, "hidden": 16, "layers": 1}
 WARM_LATENCY_BUDGET = 2.0  # generous for shared CI runners
+DRAIN_TIMEOUT = 10.0  # the server's --drain-timeout
 
 
 def check(condition: bool, label: str) -> None:
@@ -55,7 +59,7 @@ def boot(cache_dir: str) -> tuple[subprocess.Popen, int]:
     env["REPRO_CACHE_DIR"] = cache_dir
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--queue-depth", "16"],
+         "--queue-depth", "16", "--drain-timeout", str(DRAIN_TIMEOUT)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -151,10 +155,24 @@ def main() -> int:
             )
             print("smoke: wrote SERVE_STATS.json", flush=True)
 
-            # SIGTERM drain: the process must exit 0.
+            # SIGTERM drain with this thread's kept-alive connection
+            # open and idle: the process must exit 0 within the drain
+            # timeout, not hang on the idle connection.
+            check(client.healthz()["status"] == "ok", "kept-alive healthz")
             process.send_signal(signal.SIGTERM)
-            exit_code = process.wait(timeout=60.0)
-            check(exit_code == 0, "SIGTERM drained and exited 0")
+            start = time.monotonic()
+            try:
+                exit_code = process.wait(timeout=DRAIN_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                exit_code = None
+            elapsed = time.monotonic() - start
+            check(
+                exit_code == 0,
+                f"SIGTERM with an idle kept-alive client drained and "
+                f"exited 0 in {elapsed:.2f}s (exit {exit_code}, "
+                f"drain timeout {DRAIN_TIMEOUT:g}s)",
+            )
+            client.close()
         finally:
             if process.poll() is None:
                 process.kill()

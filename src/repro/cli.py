@@ -1411,46 +1411,26 @@ async def _observe_replay(args: argparse.Namespace) -> int:
     # the event source instead of a live service.
     from .observe import WebSocketBroadcaster
     from .observe.service import ui_asset
-    from .serve.http import read_request, render_bytes, render_response
+    from .serve.http import ConnectionLoop, RawResponse
 
     broadcaster = WebSocketBroadcaster()
     broadcaster.bind(asyncio.get_running_loop())
 
-    async def handle(reader, writer) -> None:
-        try:
-            request = await read_request(reader)
-            if request is None:
-                return
-            path = request.path.partition("?")[0]
-            if (
-                path == "/observe"
-                and "websocket" in request.headers.get("upgrade", "").lower()
-            ):
-                await broadcaster.handle_client(request, reader, writer)
-                return
-            if path == "/observer" or path.startswith("/observer/"):
-                asset = ui_asset(path[len("/observer"):].lstrip("/"))
-                if asset is not None:
-                    body, content_type = asset
-                    writer.write(render_bytes(200, body, content_type))
-                else:
-                    writer.write(
-                        render_response(404, {"error": "no such asset"})
-                    )
-            else:
-                writer.write(
-                    render_response(
-                        404,
-                        {"error": "replay serves /observe and /observer only"},
-                    )
-                )
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
+    async def dispatch(request) -> tuple:
+        path = request.path.partition("?")[0]
+        if path == "/observer" or path.startswith("/observer/"):
+            asset = ui_asset(path[len("/observer"):].lstrip("/"))
+            if asset is not None:
+                return 200, RawResponse(*asset)
+            return 404, {"error": "no such asset"}
+        return 404, {"error": "replay serves /observe and /observer only"}
 
-    server = await asyncio.start_server(handle, args.host, args.port)
+    connections = ConnectionLoop(
+        dispatch,
+        {"bad_requests": 0, "errors": 0},
+        websocket=broadcaster.handle_client,
+    )
+    server = await asyncio.start_server(connections.handle, args.host, args.port)
     host, port = server.sockets[0].getsockname()[:2]
     print(
         f"repro-observe: replaying {len(events)} event(s) on {host}:{port} "
@@ -1464,6 +1444,7 @@ async def _observe_replay(args: argparse.Namespace) -> int:
                 break
     finally:
         await broadcaster.aclose()
+        connections.begin_drain()
         server.close()
         await server.wait_closed()
     return 0

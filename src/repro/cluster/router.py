@@ -44,17 +44,14 @@ from ..observe.websocket import (
     read_frame,
 )
 from ..perf import PERF
-from ..serve.http import (
-    HTTPError,
-    HTTPRequest,
-    RawResponse,
-    read_request,
-    render_bytes,
-    render_response,
-    render_text,
-)
+from ..serve.http import ConnectionLoop, HTTPError, HTTPRequest, RawResponse
 from ..serve.protocol import ProtocolError, parse_simulation_request
-from ..serve.server import DEADLINE_HEADER, TRACE_HEADER, LatencyWindow
+from ..serve.server import (
+    DEADLINE_HEADER,
+    TRACE_HEADER,
+    LatencyWindow,
+    unwind_tasks,
+)
 from ..telemetry import METRICS
 from ..telemetry.trace import valid_trace_id
 from . import wire
@@ -111,7 +108,6 @@ class ClusterRouter:
         self.relay_reconnects = 0
         self._addresses: dict[str, tuple[str, int]] = {}
         self._inflight: dict[str, int] = {}
-        self._draining = False
         self._idle: asyncio.Event | None = None
         self.latency = LatencyWindow()
         self.counters = {
@@ -153,6 +149,11 @@ class ClusterRouter:
         self._request_seconds = METRICS.histogram(
             "repro_cluster_request_seconds",
             help="End-to-end /simulate latency as observed by the router",
+        )
+        self.http = ConnectionLoop(
+            self.dispatch,
+            self.counters,
+            websocket=observe.broadcaster.handle_client if observe else None,
         )
         self._started = time.monotonic()
 
@@ -277,59 +278,7 @@ class ClusterRouter:
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            try:
-                request = await read_request(reader)
-            except HTTPError as exc:
-                self.counters["bad_requests"] += 1
-                writer.write(render_response(400, {"error": str(exc)}))
-                await writer.drain()
-                return
-            if request is None:
-                return
-            if (
-                self.observe is not None
-                and request.path.partition("?")[0] == "/observe"
-                and "websocket" in request.headers.get("upgrade", "").lower()
-            ):
-                await self.observe.broadcaster.handle_client(
-                    request, reader, writer
-                )
-                return
-            try:
-                reply = await self.dispatch(request)
-            except Exception as exc:  # noqa: BLE001 — a handler bug must
-                # not kill the connection loop silently
-                self.counters["errors"] += 1
-                reply = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            if len(reply) == 3:
-                status, payload, headers = reply
-                headers = dict(headers) if headers else {}
-            else:
-                status, payload = reply
-                headers = {}
-            if isinstance(payload, RawResponse):
-                writer.write(
-                    render_bytes(
-                        status, payload.body, payload.content_type,
-                        headers=headers or None,
-                    )
-                )
-            elif isinstance(payload, str):
-                writer.write(render_text(status, payload))
-            else:
-                writer.write(
-                    render_response(status, payload, headers=headers or None)
-                )
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await self.http.handle(reader, writer)
 
     async def dispatch(self, request: HTTPRequest) -> tuple:
         path, _, _query = request.path.partition("?")
@@ -384,7 +333,7 @@ class ClusterRouter:
         total = (
             len(self.supervisor.states()) if self.supervisor is not None else len(up)
         )
-        if self._draining:
+        if self.http.draining:
             status = "draining"
         elif up and len(up) == total:
             status = "ok"
@@ -414,7 +363,7 @@ class ClusterRouter:
             if isinstance(stats, dict) and "requests" in stats
         }
         return {
-            "status": "draining" if self._draining else "ok",
+            "status": "draining" if self.http.draining else "ok",
             "role": "router",
             "uptime_seconds": time.monotonic() - self._started,
             "router": {
@@ -554,7 +503,7 @@ class ClusterRouter:
     async def _simulate_inner(self, request: HTTPRequest, start: float) -> tuple:
         self.counters["requests"] += 1
         PERF.incr("cluster.request")
-        if self._draining:
+        if self.http.draining:
             return 503, {"error": "cluster is draining"}, self._retry_after()
         try:
             body = request.json()
@@ -737,7 +686,7 @@ class ClusterRouter:
             self._idle.set()
 
     def begin_drain(self) -> None:
-        self._draining = True
+        self.http.begin_drain()
 
     async def drain(self, timeout: float | None = None) -> bool:
         """Wait for in-flight proxied requests to complete."""
@@ -866,6 +815,7 @@ class ClusterThread:
             self.startup_error = exc
         finally:
             self._started.set()  # unblock start() even on a crash
+            unwind_tasks(self._loop)
             self._loop.close()
 
     def start(self, timeout: float = 180.0) -> tuple[str, int]:

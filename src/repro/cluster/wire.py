@@ -1,11 +1,15 @@
 """Async one-shot HTTP client for talking to replicas.
 
 The replicas speak the deliberately tiny ``repro.serve`` dialect (one
-request, one ``Connection: close`` JSON response), so the router-side
-client is equally tiny: open a connection, write one request, read one
-response, close.  No pooling, no keep-alive — a proxied simulation
-dwarfs connection setup on the loopback path, and the simplicity keeps
-error handling exact: every failure is an :class:`OSError`,
+JSON request, one JSON response), so the router-side client is equally
+tiny: open a connection, write one ``Connection: close`` request, read
+the response, close.  The replicas would keep the connection open if
+asked for keep-alive; this hop does not ask.  Keep-alive paid for
+itself on the client-facing hop, where a warm hit was mostly connection
+setup, but no workload measures the router-to-replica hop (a proxied
+request has already missed the router's tiers, so it is usually a
+simulation that dwarfs the connect), and one connection per request
+keeps error handling exact: every failure is an :class:`OSError`,
 :class:`asyncio.TimeoutError`, or :class:`PeerProtocolError`.
 """
 

@@ -128,14 +128,18 @@ class ResultCache:
     def store(self, key: str, result: dict, job: SimJob | None = None) -> None:
         """Atomically write one result blob (tempfile + rename)."""
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob = {
             "fingerprint": self.fingerprint,
             "key": key,
             "job": job.as_dict() if job is not None else None,
             "result": result,
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except FileNotFoundError:
+            # Only a store into a new shard pays for the mkdir.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             # ``dumps`` runs the C encoder; ``dump`` to a file streams
             # through the pure-Python one.  The text is the same.

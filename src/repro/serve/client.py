@@ -11,6 +11,15 @@ knows its own queue.  A ``deadline`` bounds the *total* budget across
 attempts and propagates to the server in the ``X-Repro-Deadline``
 header so it can abandon work the client already gave up on; a
 ``Retry-After`` longer than the remaining budget is capped to it.
+
+The default transport keeps one persistent connection per calling
+thread (``Connection: keep-alive``), so a closed loop of requests pays
+the TCP connect once.  Threads that share a client each get their own
+connection.  When a *reused* connection fails before the reply's status
+line (the server closed it while idle, e.g. on drain), the transport
+dials again and resends once; that resend is not a retry attempt, so
+``retries=0`` never turns a stale socket into a failed request.  A
+``/simulate`` POST is content-addressed, so sending it twice is safe.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import http.client
 import json
 import math
 import random
+import threading
 import time
 from typing import Callable
 
@@ -110,6 +120,7 @@ class ServeClient:
         self.jitter = jitter
         self.timeout = timeout
         self._transport = transport or self._http_transport
+        self._local = threading.local()
         self._sleep = sleep
         self._rng = rng or random.Random()
 
@@ -122,13 +133,30 @@ class ServeClient:
         headers: dict,
         timeout: float,
     ) -> tuple[int, dict]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port)
+            self._local.conn = conn
+        reused = conn.sock is not None
+        conn.timeout = timeout
+        if reused:
+            conn.sock.settimeout(timeout)
+        headers["Connection"] = "keep-alive"
         try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected is a ConnectionResetError.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
             raw = response.read()
-        finally:
+        except BaseException:
             conn.close()
+            raise
         response_headers = {
             name.lower(): value for name, value in response.getheaders()
         }
@@ -147,6 +175,12 @@ class ServeClient:
         if not isinstance(payload, dict):
             payload = {"value": payload}
         return response.status, payload, response_headers
+
+    def close(self) -> None:
+        """Close the calling thread's persistent connection, if any."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
 
     # -- core retry loop ------------------------------------------------
     def call(

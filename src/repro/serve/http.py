@@ -1,10 +1,14 @@
 """Minimal HTTP/1.1 on asyncio streams — just enough for the service.
 
 The service speaks a deliberately tiny dialect (one JSON request, one
-JSON response, ``Connection: close``) so the whole wire layer stays
-stdlib-only and auditable: no routing framework, no chunked encoding,
-no keep-alive state machine.  Anything the parser does not understand
-raises :class:`HTTPError`, which the server maps to a 400.
+JSON response, no chunked encoding) so the whole wire layer stays
+stdlib-only and auditable.  :class:`ConnectionLoop` is the one
+connection loop the service and the cluster router share: it reads a
+request, dispatches it and writes the reply on the same stream, and
+keeps the connection open for the next request only when the request
+asked for ``Connection: keep-alive``.  Any other request gets a
+``Connection: close`` reply and an EOF.  Anything the parser does not
+understand raises :class:`HTTPError`, which the loop maps to a 400.
 """
 
 from __future__ import annotations
@@ -12,15 +16,16 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from typing import Awaitable, Callable
 
 __all__ = [
+    "ConnectionLoop",
     "HTTPError",
     "HTTPRequest",
     "RawResponse",
     "read_request",
-    "render_bytes",
+    "render_reply",
     "render_response",
-    "render_text",
     "STATUS_REASONS",
 ]
 
@@ -131,43 +136,6 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
     return HTTPRequest(method.upper(), path, headers, body)
 
 
-def _render(
-    status: int,
-    body: bytes,
-    content_type: str,
-    headers: dict[str, str] | None,
-) -> bytes:
-    reason = STATUS_REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        "Connection: close",
-    ]
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-def render_response(
-    status: int, payload: dict, *, headers: dict[str, str] | None = None
-) -> bytes:
-    """One complete ``Connection: close`` JSON response as bytes."""
-    body = (json.dumps(payload) + "\n").encode()
-    return _render(status, body, "application/json", headers)
-
-
-def render_text(
-    status: int,
-    text: str,
-    *,
-    content_type: str = "text/plain; version=0.0.4; charset=utf-8",
-    headers: dict[str, str] | None = None,
-) -> bytes:
-    """A plaintext response (the Prometheus ``/metrics`` exposition)."""
-    return _render(status, text.encode("utf-8"), content_type, headers)
-
-
 @dataclass
 class RawResponse:
     """A handler payload served byte-for-byte with its content type.
@@ -181,12 +149,140 @@ class RawResponse:
     content_type: str = "application/octet-stream"
 
 
-def render_bytes(
-    status: int,
-    body: bytes,
-    content_type: str,
-    *,
-    headers: dict[str, str] | None = None,
+def render_reply(reply: tuple, *, keep_alive: bool = False) -> bytes:
+    """Render a handler's ``(status, payload[, headers])`` reply.
+
+    A dict payload is JSON, a str payload plaintext (the Prometheus
+    exposition) and a :class:`RawResponse` its own bytes; the headers go
+    on every kind.
+    """
+    status, payload = reply[0], reply[1]
+    if isinstance(payload, RawResponse):
+        body, content_type = payload.body, payload.content_type
+    elif isinstance(payload, str):
+        body = payload.encode("utf-8")
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        body = (json.dumps(payload) + "\n").encode()
+        content_type = "application/json"
+    lines = [
+        f"HTTP/1.1 {status} {STATUS_REASONS.get(status, 'Unknown')}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}",
+        "Connection: keep-alive" if keep_alive else "Connection: close",
+    ]
+    if len(reply) > 2 and reply[2]:
+        lines.extend(f"{name}: {value}" for name, value in reply[2].items())
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def render_response(
+    status: int, payload: dict, *, headers: dict[str, str] | None = None
 ) -> bytes:
-    """A complete response around an opaque body (static assets)."""
-    return _render(status, body, content_type, headers)
+    """One complete ``Connection: close`` JSON response as bytes."""
+    return render_reply((status, payload, headers))
+
+
+def _wants_keep_alive(request: HTTPRequest) -> bool:
+    tokens = request.headers.get("connection", "").lower().split(",")
+    return any(token.strip() == "keep-alive" for token in tokens)
+
+
+class ConnectionLoop:
+    """The connection loop of the service, the cluster router and the
+    ``observe replay`` server.
+
+    ``dispatch`` maps a request to ``(status, payload[, headers])``;
+    ``counters`` is the owner's counter dict (``bad_requests`` counts
+    400s for bad framing, ``errors`` handler exceptions); ``websocket``,
+    when given, takes over the streams of a ``GET /observe`` upgrade.
+
+    A connection that asked for keep-alive waits for its next request
+    after each reply.  :meth:`begin_drain` closes the connections that
+    are waiting so, and a connection with a request in flight answers
+    it with ``Connection: close``: a server draining on SIGTERM never
+    waits on an idle client.
+    """
+
+    def __init__(
+        self,
+        dispatch: Callable[[HTTPRequest], Awaitable[tuple]],
+        counters: dict,
+        *,
+        websocket: Callable[..., Awaitable[None]] | None = None,
+    ) -> None:
+        self._dispatch = dispatch
+        self._counters = counters
+        self._websocket = websocket
+        #: Kept-alive connections waiting for their next request, each
+        #: with the loop it runs on (drain may start on another thread).
+        self._idle: dict[asyncio.StreamWriter, asyncio.AbstractEventLoop] = {}
+        self.draining = False
+
+    def begin_drain(self) -> None:
+        """Answer in-flight requests with ``close``; close idle connections."""
+        self.draining = True
+        for writer, loop in list(self._idle.items()):
+            try:
+                loop.call_soon_threadsafe(self._close_if_idle, writer)
+            except RuntimeError:
+                pass  # loop already closed
+
+    def _close_if_idle(self, writer: asyncio.StreamWriter) -> None:
+        if writer in self._idle:
+            writer.close()
+
+    async def handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve requests off one connection until either side closes it."""
+        try:
+            while await self._serve_one(reader, writer):
+                self._idle[writer] = asyncio.get_running_loop()
+                if self.draining:  # drain began during the reply
+                    return
+        except (ConnectionError, asyncio.CancelledError):
+            pass
+        finally:
+            self._idle.pop(writer, None)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _serve_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read, dispatch and answer one request; ``True`` to keep going."""
+        try:
+            request = await read_request(reader)
+        except HTTPError as exc:
+            if writer.is_closing():  # drain closed it mid-request
+                return False
+            self._counters["bad_requests"] += 1
+            writer.write(render_response(400, {"error": str(exc)}))
+            await writer.drain()
+            return False
+        finally:
+            self._idle.pop(writer, None)
+        if request is None or writer.is_closing():
+            return False
+        if (
+            self._websocket is not None
+            and request.path.partition("?")[0] == "/observe"
+            and "websocket" in request.headers.get("upgrade", "").lower()
+        ):
+            # The upgrade leaves HTTP: the broadcaster owns the streams.
+            await self._websocket(request, reader, writer)
+            return False
+        try:
+            reply = await self._dispatch(request)
+        except Exception as exc:  # noqa: BLE001 — a handler bug must
+            # not kill the connection loop silently
+            self._counters["errors"] += 1
+            reply = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        keep_alive = not self.draining and _wants_keep_alive(request)
+        writer.write(render_reply(reply, keep_alive=keep_alive))
+        await writer.drain()
+        return keep_alive

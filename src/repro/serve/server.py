@@ -19,8 +19,12 @@ Request path::
 Endpoints: ``POST /simulate``, ``GET /healthz``, ``GET /stats``,
 ``GET /metrics`` (Prometheus text), ``GET /trace`` (buffered spans),
 ``GET /result/<key>`` (cache-only lookup, the cluster peer-fetch tier).
-Lifecycle: SIGTERM/SIGINT stop the listener, finish in-flight work
-(bounded by ``drain_timeout``), then exit 0.
+Connections go through the shared :class:`~repro.serve.http.ConnectionLoop`:
+one reply per request, and the connection stays open for the next
+request only when the request sent ``Connection: keep-alive``.
+Lifecycle: SIGTERM/SIGINT stop the listener, close idle kept-alive
+connections, finish in-flight work (bounded by ``drain_timeout``, each
+reply sent with ``Connection: close``), then exit 0.
 
 When run as a cluster replica (``repro serve --replica-id N``) the
 service reports its identity in ``/healthz``/``/stats`` and as a
@@ -47,15 +51,7 @@ from ..telemetry import METRICS, TRACER
 from ..telemetry.trace import valid_trace_id
 from .admission import AdmissionController
 from .batcher import JobBatcher
-from .http import (
-    HTTPError,
-    HTTPRequest,
-    RawResponse,
-    read_request,
-    render_bytes,
-    render_response,
-    render_text,
-)
+from .http import ConnectionLoop, HTTPError, HTTPRequest, RawResponse
 from .protocol import ProtocolError, encode_outcome, parse_simulation_request
 
 __all__ = ["LatencyWindow", "SimulationService", "ServerThread", "serve_forever"]
@@ -189,73 +185,20 @@ class SimulationService:
                 help="Identity of this process as a cluster replica",
                 labelnames=("replica",),
             ).labels(replica=replica_id).set(1)
+        self.http = ConnectionLoop(
+            self.dispatch,
+            self.counters,
+            websocket=observe.broadcaster.handle_client if observe else None,
+        )
         self._started = time.monotonic()
 
     # -- connection handling -------------------------------------------
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection, one request, one ``Connection: close`` reply."""
-        try:
-            try:
-                request = await read_request(reader)
-            except HTTPError as exc:
-                self.counters["bad_requests"] += 1
-                writer.write(render_response(400, {"error": str(exc)}))
-                await writer.drain()
-                return
-            if request is None:
-                return
-            # The WebSocket upgrade leaves HTTP entirely: the observe
-            # broadcaster owns the raw streams for the connection's
-            # lifetime instead of the one-reply dispatch below.
-            if (
-                self.observe is not None
-                and request.path.partition("?")[0] == "/observe"
-                and "websocket" in request.headers.get("upgrade", "").lower()
-            ):
-                await self.observe.broadcaster.handle_client(
-                    request, reader, writer
-                )
-                return
-            try:
-                reply = await self.dispatch(request)
-            except Exception as exc:  # noqa: BLE001 — a handler bug must
-                # not kill the connection loop silently
-                self.counters["errors"] += 1
-                reply = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            # Handlers return (status, payload) or (status, payload, headers).
-            if len(reply) == 3:
-                status, payload, headers = reply
-                headers = dict(headers) if headers else {}
-            else:
-                status, payload = reply
-                headers = {}
-            if isinstance(payload, RawResponse):
-                writer.write(
-                    render_bytes(
-                        status, payload.body, payload.content_type,
-                        headers=headers or None,
-                    )
-                )
-            elif isinstance(payload, str):
-                writer.write(render_text(status, payload))
-            else:
-                trace_id = payload.get("trace_id")
-                if trace_id:
-                    headers.setdefault("X-Repro-Trace-Id", str(trace_id))
-                writer.write(
-                    render_response(status, payload, headers=headers or None)
-                )
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        """Serve one connection through the shared :class:`ConnectionLoop`:
+        one reply per request, kept open only for ``Connection: keep-alive``."""
+        await self.http.handle(reader, writer)
 
     async def dispatch(self, request: HTTPRequest) -> tuple:
         """Route one request; returns ``(status, payload[, headers])``."""
@@ -275,7 +218,7 @@ class SimulationService:
         if path == "/trace":
             if request.method != "GET":
                 return 405, {"error": "trace is GET-only"}
-            return 200, self._trace(query)
+            return self._trace(query)
         if path.startswith("/result/"):
             if request.method != "GET":
                 return 405, {"error": "result is GET-only"}
@@ -293,7 +236,7 @@ class SimulationService:
         if path == "/observe":
             if self.observe is None:
                 return 404, {"error": "observability is off (start with --observe)"}
-            # Reaching dispatch means handle() saw no upgrade header.
+            # Reaching dispatch means the loop saw no upgrade header.
             return 400, {"error": "GET /observe requires a websocket upgrade"}
         if path == "/observer" or path.startswith("/observer/"):
             if self.observe is None:
@@ -421,7 +364,7 @@ class SimulationService:
             return 404, {"error": f"no such search: {rest}"}
         return 200, payload
 
-    def _trace(self, query: str) -> dict:
+    def _trace(self, query: str) -> tuple:
         """Buffered spans, optionally filtered to one trace id."""
         params = parse_qs(query)
         trace_id = valid_trace_id((params.get("trace_id") or [None])[0])
@@ -432,11 +375,12 @@ class SimulationService:
             limit = 0
         if limit > 0:
             spans = spans[-limit:]
-        return {
+        payload = {
             "trace_id": trace_id,
             "count": len(spans),
             "spans": [span.to_dict() for span in spans],
         }
+        return 200, payload, {"X-Repro-Trace-Id": trace_id} if trace_id else None
 
     async def _simulate(self, request: HTTPRequest) -> tuple:
         trace_id = valid_trace_id(request.headers.get(TRACE_HEADER))
@@ -458,8 +402,11 @@ class SimulationService:
             span.set(status=status)
         self._requests_total.labels(status=str(status)).inc()
         self._request_seconds.observe(time.perf_counter() - start)
-        if span.trace_id is not None and isinstance(payload, dict):
+        if span.trace_id is not None:
             payload.setdefault("trace_id", span.trace_id)
+            headers = dict(reply[2]) if len(reply) > 2 else {}
+            headers.setdefault("X-Repro-Trace-Id", str(payload["trace_id"]))
+            reply = status, payload, headers
         return reply
 
     async def _simulate_admitted(self, request: HTTPRequest, rid: str) -> tuple:
@@ -602,6 +549,7 @@ class SimulationService:
 
     def begin_drain(self) -> None:
         self.admission.begin_drain()
+        self.http.begin_drain()
 
     async def drain(self, timeout: float | None = None) -> bool:
         """Finish in-flight work; ``False`` if ``timeout`` expired first."""
@@ -663,6 +611,17 @@ async def serve_forever(
     return 0 if clean else 1
 
 
+def unwind_tasks(loop: asyncio.AbstractEventLoop) -> None:
+    """Cancel the tasks a hosted server left behind and let them finish,
+    as ``asyncio.run`` does: a connection handler still waiting on its
+    client closes its socket instead of being destroyed pending."""
+    pending = asyncio.all_tasks(loop)
+    for task in pending:
+        task.cancel()
+    if pending:
+        loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
+
+
 class ServerThread:
     """Host a service on a background thread (tests and benches).
 
@@ -714,6 +673,7 @@ class ServerThread:
             self.exit_code = self._loop.run_until_complete(main())
         finally:
             self._started.set()  # unblock start() even on a crash
+            unwind_tasks(self._loop)
             self._loop.close()
 
     def start(self, timeout: float = 10.0) -> tuple[str, int]:

@@ -1,5 +1,7 @@
 """Unit tests for the energy model."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch import EnergyCounters, EnergyModel, EnergyTable
@@ -30,6 +32,16 @@ class TestCounters:
         assert c.mac_ops == 8
         assert c.dram_bytes == 100
         assert c.sram_bytes == 7
+
+    def test_merge_is_the_fieldwise_sum_over_every_field(self):
+        fields = [f.name for f in dataclasses.fields(EnergyCounters)]
+        a = EnergyCounters(**{n: i + 1 for i, n in enumerate(fields)})
+        b = EnergyCounters(**{n: 100 * (i + 1) for i, n in enumerate(fields)})
+        merged = a.merge(b)
+        for name in fields:
+            assert getattr(merged, name) == getattr(a, name) + getattr(b, name)
+        assert EnergyCounters.from_dict(merged.as_dict()) == merged
+        assert list(merged.as_dict()) == fields
 
     def test_merge_does_not_mutate(self):
         a = EnergyCounters(mac_ops=5)

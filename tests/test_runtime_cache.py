@@ -45,6 +45,16 @@ class TestAccounting:
         }
         assert cache.path_for(KEY).read_text() == json.dumps(blob)
 
+    def test_store_into_a_fresh_root_creates_the_shard_directory(self, tmp_path):
+        cache = ResultCache(tmp_path / "new" / "root")
+        path = cache.path_for(KEY)
+        assert not path.parent.exists()
+        cache.store(KEY, PAYLOAD)
+        assert path.parent.is_dir()
+        assert cache.load(KEY) == PAYLOAD
+        cache.store(KEY[:2] + "f" * 62, PAYLOAD)  # same shard, now present
+        assert len(cache) == 2
+
     def test_len_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store(KEY, PAYLOAD)

@@ -8,7 +8,9 @@ import pytest
 from repro.serve.http import (
     HTTPError,
     HTTPRequest,
+    RawResponse,
     read_request,
+    render_reply,
     render_response,
 )
 
@@ -143,3 +145,27 @@ class TestRenderResponse:
     def test_extra_headers(self):
         raw = render_response(200, {}, headers={"X-Extra": "1"})
         assert b"X-Extra: 1" in raw
+
+
+class TestRenderReply:
+    """The connection loop's renderer: every payload kind, its headers."""
+
+    @pytest.mark.parametrize(
+        "payload, content_type",
+        [
+            ({"ok": True}, b"application/json"),
+            ("up 1\n", b"text/plain; version=0.0.4; charset=utf-8"),
+            (RawResponse(b"<html/>", "text/html"), b"text/html"),
+        ],
+    )
+    def test_headers_go_on_every_payload_kind(self, payload, content_type):
+        raw = render_reply((200, payload, {"X-Extra": "1"}))
+        head = raw.partition(b"\r\n\r\n")[0]
+        assert b"Content-Type: " + content_type in head
+        assert b"X-Extra: 1" in head
+        assert b"Connection: close" in head
+
+    def test_keep_alive_changes_only_the_connection_header(self):
+        close = render_reply((200, {"ok": True}, {"X-Extra": "1"}))
+        kept = render_reply((200, {"ok": True}, {"X-Extra": "1"}), keep_alive=True)
+        assert kept == close.replace(b"Connection: close", b"Connection: keep-alive")
