@@ -57,7 +57,7 @@ def boot(cache_dir: str) -> tuple[subprocess.Popen, int]:
     env["REPRO_CACHE_DIR"] = cache_dir
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "cluster", "--port", "0",
-         "--replicas", "2", "--lru-capacity", "0",
+         "--replicas", "2",
          "--probe-interval", "0.25", "--fail-threshold", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -93,9 +93,8 @@ def main() -> int:
             check(health["replicas_up"] == 2, "two replicas routable")
 
             # Shard affinity: the same job lands on the same replica,
-            # and the repeat is warm.  The router LRU is disabled
-            # (--lru-capacity 0) so the disk/replica path is what
-            # answers — affinity stays observable.
+            # and the repeat is warm — answered by the owner or by the
+            # router reading the owner's shard.
             first = client.simulate(SMALL)
             second = client.simulate(SMALL)
             check(first["key"] == second["key"], "stable job key")

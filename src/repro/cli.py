@@ -452,13 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-replica proxied requests in flight before shedding 429",
     )
     p_cluster.add_argument(
-        "--lru-capacity",
-        type=int,
-        default=1024,
-        metavar="N",
-        help="router in-process result LRU entries (0 disables the tier)",
-    )
-    p_cluster.add_argument(
         "--queue-depth",
         type=positive_int,
         default=64,
@@ -1137,14 +1130,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     router = ClusterRouter(
         vnodes=args.vnodes,
         max_inflight_per_replica=args.max_inflight,
-        lru_capacity=args.lru_capacity,
         proxy_timeout=args.proxy_timeout,
         observe=observe,
     )
     for cfg in configs:
         # The router reads replica shards directly (same host): a ring
         # change then finds results the previous owner already computed.
-        router.tiers.add_shard(ResultCache(root=cfg.cache_dir))
+        router.add_shard(ResultCache(root=cfg.cache_dir))
     return asyncio.run(
         cluster_forever(
             router,

@@ -11,14 +11,13 @@ single-flight dedup and warm caches:
   minimal-disruption properties pinned by tests);
 * :mod:`.wire` — the async one-shot HTTP client the router uses to
   talk to replicas;
-* :mod:`.tiers` — the memory → disk-shard → peer-fetch result lookup
-  chain consulted before any recompute;
 * :mod:`.replica` — subprocess lifecycle: spawn, ``/healthz`` probing
   (busy vs hung), restart with backoff, operator drain;
-* :mod:`.router` — the asyncio front end: placement, per-replica
-  bounded in-flight with ``Retry-After`` shedding, transport-failure
-  failover, fleet-wide ``/stats`` + ``/metrics``, and the
-  ``cluster_forever`` / :class:`~.router.ClusterThread` hosts.
+* :mod:`.router` — the asyncio front end: the replicas' cache shards
+  read before any recompute, placement, per-replica bounded in-flight
+  with ``Retry-After`` shedding, transport-failure failover, fleet-wide
+  ``/stats`` + ``/metrics``, and the ``cluster_forever`` /
+  :class:`~.router.ClusterThread` hosts.
 
 CLI: ``repro cluster --replicas N``; see ``docs/serving.md``.
 """
@@ -26,7 +25,6 @@ CLI: ``repro cluster --replicas N``; see ``docs/serving.md``.
 from .replica import ReplicaConfig, ReplicaSpawnError, ReplicaSupervisor, SubprocessReplica
 from .ring import DEFAULT_VNODES, HashRing, ring_point
 from .router import ClusterRouter, ClusterThread, cluster_forever
-from .tiers import ResultLRU, TieredResultStore
 
 __all__ = [
     "HashRing",
@@ -36,8 +34,6 @@ __all__ = [
     "ReplicaSpawnError",
     "ReplicaSupervisor",
     "SubprocessReplica",
-    "ResultLRU",
-    "TieredResultStore",
     "ClusterRouter",
     "ClusterThread",
     "cluster_forever",

@@ -7,10 +7,10 @@ One asyncio process owns the client-facing socket and fans
   content hash lands on the :class:`~repro.cluster.ring.HashRing`;
   identical jobs always reach the same replica, so single-flight dedup
   and warm caches shard cleanly by job identity;
-* **tiers before compute** — the router answers from its own
-  memory/disk/peer :class:`~repro.cluster.tiers.TieredResultStore`
-  before proxying, so a re-hashed key whose result an old owner already
-  computed never re-simulates;
+* **shards before compute** — the router reads the replicas' on-disk
+  :class:`~repro.runtime.ResultCache` shards (same host) before
+  proxying, through the caches' shared memory tier, so a re-hashed key
+  whose result an old owner already computed never re-simulates;
 * **admission** — per-replica bounded in-flight; a saturated owner
   sheds with 429 + ``Retry-After`` instead of queueing (spilling a job
   to a cache-cold replica would trade latency for locality);
@@ -44,6 +44,7 @@ from ..observe.websocket import (
     read_frame,
 )
 from ..perf import PERF
+from ..runtime.cache import ResultCache
 from ..serve.http import ConnectionLoop, HTTPError, HTTPRequest, RawResponse
 from ..serve.protocol import ProtocolError, parse_simulation_request
 from ..serve.server import (
@@ -57,7 +58,6 @@ from ..telemetry.trace import valid_trace_id
 from . import wire
 from .replica import ReplicaSupervisor
 from .ring import DEFAULT_VNODES, HashRing
-from .tiers import ResultLRU, TieredResultStore
 
 __all__ = ["ClusterRouter", "ClusterThread", "cluster_forever"]
 
@@ -75,10 +75,7 @@ class ClusterRouter:
         max_inflight_per_replica: int = 16,
         proxy_retries: int = 2,
         proxy_timeout: float = 300.0,
-        tiers: TieredResultStore | None = None,
-        lru_capacity: int = 1024,
         retry_after_hint: float = 0.25,
-        peer_fetch_limit: int = 2,
         supervisor: ReplicaSupervisor | None = None,
         observe=None,
     ) -> None:
@@ -91,13 +88,12 @@ class ClusterRouter:
         self.proxy_retries = proxy_retries
         self.proxy_timeout = proxy_timeout
         self.retry_after_hint = retry_after_hint
-        self.peer_fetch_limit = peer_fetch_limit
         self.supervisor = supervisor
-        self.tiers = tiers or TieredResultStore(
-            lru=ResultLRU(lru_capacity) if lru_capacity > 0 else None
-        )
-        if self.tiers.peer_fetch is None and peer_fetch_limit > 0:
-            self.tiers.peer_fetch = self._peer_fetch
+        #: Replica result-cache shards read before proxying (see
+        #: :meth:`add_shard`), and what they answered.
+        self.shards: list[ResultCache] = []
+        self.tier_hits = {"memory": 0, "disk": 0}
+        self.tier_misses = 0
         #: Optional :class:`repro.observe.ObserveState` (built around a
         #: *private* hub, never the process-global one: in-process
         #: replica services must not leak events into the fleet feed
@@ -156,6 +152,27 @@ class ClusterRouter:
             websocket=observe.broadcaster.handle_client if observe else None,
         )
         self._started = time.monotonic()
+
+    def add_shard(self, cache: ResultCache) -> None:
+        """Read ``cache`` before proxying (a replica's shard, same host)."""
+        self.shards.append(cache)
+
+    def _lookup(self, key: str) -> tuple[dict | None, str | None]:
+        """The first shard's cached result for ``key`` and its tier.
+
+        The tier is ``memory`` when the shard's memory tier answered,
+        ``disk`` when the blob was read; ``(None, None)`` on a miss.
+        """
+        for shard in self.shards:
+            memory_hits = shard.stats.memory_hits
+            result = shard.load(key)
+            if result is not None:
+                from_memory = shard.stats.memory_hits > memory_hits
+                tier = "memory" if from_memory else "disk"
+                self.tier_hits[tier] += 1
+                return result, tier
+        self.tier_misses += 1
+        return None, None
 
     # -- membership (supervisor callbacks; sync, loop-thread only) ------
     def replica_up(self, replica_id: str, host: str, port: int) -> None:
@@ -369,7 +386,11 @@ class ClusterRouter:
             "router": {
                 "requests": dict(self.counters),
                 "ring": self.ring.snapshot(),
-                "tiers": self.tiers.snapshot(),
+                "tiers": {
+                    "misses": self.tier_misses,
+                    "tier_hits": dict(self.tier_hits),
+                    "disk_shards": len(self.shards),
+                },
                 "inflight": dict(sorted(self._inflight.items())),
                 "max_inflight_per_replica": self.max_inflight_per_replica,
                 "latency": self.latency.snapshot(),
@@ -387,7 +408,7 @@ class ClusterRouter:
 
         A request proxied through the router leaves spans on exactly one
         replica, but a trace tree can also span replicas (retried
-        failovers, peer fetches), and replicas sharing a process (tests)
+        failovers), and replicas sharing a process (tests)
         share a buffer — so spans merge by ``(trace_id, span_id)``,
         first sighting wins, ordered by start time.  The same endpoint
         shape as a single replica's, so ``repro trace export`` works
@@ -486,7 +507,7 @@ class ClusterRouter:
     async def _result(self, key: str) -> tuple:
         if not key or len(key) > 128 or not set(key) <= _HEX:
             return 400, {"error": f"malformed result key: {key[:80]!r}"}
-        result, tier = await self.tiers.lookup(key)
+        result, tier = self._lookup(key)
         if result is None:
             return 404, {"error": "result not cached", "key": key}
         return 200, {"key": key, "cached": True, "tier": tier, "result": result}
@@ -513,7 +534,7 @@ class ClusterRouter:
             return 400, {"error": str(exc)}
         key = job.key
 
-        result, tier = await self.tiers.lookup(key)
+        result, tier = self._lookup(key)
         if result is not None:
             self.counters["tier_served"] += 1
             self.counters["completed"] += 1
@@ -583,10 +604,6 @@ class ClusterRouter:
                 payload.setdefault("replica", name)
             if status == 200:
                 self.counters["completed"] += 1
-                if isinstance(payload, dict) and isinstance(
-                    payload.get("result"), dict
-                ):
-                    self.tiers.insert(key, payload["result"])
                 latency = time.perf_counter() - start
                 self.latency.add(latency)
                 payload["latency_seconds"] = latency
@@ -608,30 +625,6 @@ class ClusterRouter:
 
     def _retry_after(self) -> dict:
         return {"Retry-After": f"{self.retry_after_hint:.3f}"}
-
-    # -- peer fetch tier -------------------------------------------------
-    async def _peer_fetch(self, key: str) -> dict | None:
-        """Ask non-owner replicas for a cached result before recompute.
-
-        Useful when shard directories are not locally readable (remote
-        peers) or after ring changes; bounded to ``peer_fetch_limit``
-        peers so a miss costs at most a couple of loopback round trips.
-        """
-        preference = self.ring.preference(key)
-        peers = preference[1:][: self.peer_fetch_limit]
-        for name in peers:
-            address = self._addresses.get(name)
-            if address is None:
-                continue
-            try:
-                status, payload, _ = await wire.request_json(
-                    address[0], address[1], "GET", f"/result/{key}", timeout=5.0
-                )
-            except (OSError, asyncio.TimeoutError, wire.PeerProtocolError):
-                continue
-            if status == 200 and isinstance(payload.get("result"), dict):
-                return payload["result"]
-        return None
 
     def _observe_section(self) -> dict | None:
         if self.observe is None:

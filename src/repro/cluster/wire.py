@@ -7,7 +7,7 @@ the response, close.  The replicas would keep the connection open if
 asked for keep-alive; this hop does not ask.  Keep-alive paid for
 itself on the client-facing hop, where a warm hit was mostly connection
 setup, but no workload measures the router-to-replica hop (a proxied
-request has already missed the router's tiers, so it is usually a
+request has already missed the replicas' shards, so it is usually a
 simulation that dwarfs the connect), and one connection per request
 keeps error handling exact: every failure is an :class:`OSError`,
 :class:`asyncio.TimeoutError`, or :class:`PeerProtocolError`.

@@ -20,10 +20,10 @@ def clear_hot_path_caches() -> None:
     from ..graphs.tiling import clear_tiling_cache
     from ..mapping.degree_aware import _zorder_nodes_cached
     from ..mapping.memo import clear_mapping_cache
-    from ..runtime.shards import clear_tile_memo
+    from ..runtime.cache import clear_memory_tier
 
     clear_mapping_cache()
     _zorder_nodes_cached.cache_clear()
     clear_tiling_cache()
-    clear_tile_memo()
+    clear_memory_tier()
     clear_partition_sample_cache()

@@ -11,6 +11,14 @@ The root comes from (in priority order) the constructor argument, the
 ``REPRO_CACHE_DIR`` environment variable, or ``.repro_cache`` under the
 current directory.  Corrupt or stale blobs are deleted and reported as
 misses — the runner then simply re-simulates.
+
+One bounded, process-wide memory tier fronts every cache: a disk hit
+keeps the decoded result, keyed by ``(root, fingerprint, key)``, so a
+repeat load skips the read and the parse.  Blobs are content-addressed
+under a fixed fingerprint, so an entry is never stale.  Only ``load``
+fills it: a store is not read back by most writers, and what the tier
+returns is always what ``json.loads`` returned for the disk hit.
+Returned dicts are shared between loads and must not be mutated.
 """
 
 from __future__ import annotations
@@ -19,18 +27,40 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .jobs import SimJob
 
-__all__ = ["ResultCache", "CacheStats", "code_fingerprint", "as_cache"]
+__all__ = [
+    "ResultCache",
+    "CacheStats",
+    "code_fingerprint",
+    "as_cache",
+    "clear_memory_tier",
+]
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 _FINGERPRINT: str | None = None
+
+#: Entries the memory tier keeps, least recently used evicted first.  A
+#: serving process probes the same job and clean-tile keys request after
+#: request; entries are small decoded result dicts (~1-5 KiB).
+MEMORY_TIER_MAX = 8192
+
+_MEMORY: "OrderedDict[tuple[str, str, str], dict]" = OrderedDict()
+_MEMORY_LOCK = threading.Lock()
+
+
+def clear_memory_tier() -> None:
+    """Drop every memory-tier entry (cold measurements, tests)."""
+    with _MEMORY_LOCK:
+        _MEMORY.clear()
 
 
 def code_fingerprint() -> str:
@@ -57,6 +87,7 @@ class CacheStats:
     """Hit/miss/invalidation accounting for one cache instance."""
 
     hits: int = 0
+    memory_hits: int = 0  # the hits the memory tier served
     misses: int = 0
     stores: int = 0
     invalidations: int = 0  # fingerprint mismatches evicted
@@ -65,6 +96,7 @@ class CacheStats:
     def as_dict(self) -> dict[str, int]:
         return {
             "hits": self.hits,
+            "memory_hits": self.memory_hits,
             "misses": self.misses,
             "stores": self.stores,
             "invalidations": self.invalidations,
@@ -94,8 +126,18 @@ class ResultCache:
 
         Every failure mode — absent, unreadable, undecodable, stale
         fingerprint — degrades to a miss so a damaged cache can never
-        break a sweep, only slow it down.
+        break a sweep, only slow it down.  The memory tier answers
+        first; a disk hit fills it.
         """
+        memory_key = (str(self.root), self.fingerprint, key)
+        with _MEMORY_LOCK:
+            result = _MEMORY.get(memory_key)
+            if result is not None:
+                _MEMORY.move_to_end(memory_key)
+        if result is not None:
+            self.stats.hits += 1
+            self.stats.memory_hits += 1
+            return result
         path = self.path_for(key)
         try:
             raw = path.read_text()
@@ -123,6 +165,10 @@ class ResultCache:
             self._evict(path)
             return None
         self.stats.hits += 1
+        with _MEMORY_LOCK:
+            _MEMORY[memory_key] = result
+            while len(_MEMORY) > MEMORY_TIER_MAX:
+                _MEMORY.popitem(last=False)
         return result
 
     def store(self, key: str, result: dict, job: SimJob | None = None) -> None:
@@ -190,6 +236,10 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete all blobs; returns how many were removed."""
+        root = str(self.root)
+        with _MEMORY_LOCK:
+            for memory_key in [k for k in _MEMORY if k[0] == root]:
+                del _MEMORY[memory_key]
         removed = 0
         for blob in self.entries():
             self._evict(blob)
@@ -246,8 +296,10 @@ class ResultCache:
             removed += 1
         return removed
 
-    @staticmethod
-    def _evict(path: Path) -> None:
+    def _evict(self, path: Path) -> None:
+        """Delete one blob and its memory-tier entry."""
+        with _MEMORY_LOCK:
+            _MEMORY.pop((str(self.root), self.fingerprint, path.stem), None)
         try:
             path.unlink()
         except OSError:

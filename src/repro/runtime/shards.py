@@ -5,9 +5,9 @@ tile at a time.  :func:`run_tile_shards` runs one layer's tiles in the
 calling process:
 
 1. probes the per-tile :class:`~repro.runtime.cache.ResultCache`
-   sub-keys, memory tier first (content-addressed by tile subgraph +
-   workload + config — a dirty tile recomputes alone, clean siblings
-   are served from the memo or from disk),
+   sub-keys (content-addressed by tile subgraph + workload + config —
+   a dirty tile recomputes alone, clean siblings are served by the
+   cache's memory tier or from disk),
 2. hands the cold tiles, in tile order, to the caller's worker function
    in one call, so payload construction is paid for cold tiles only,
 3. stores the cold results under their sub-keys,
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,37 +26,13 @@ from .cache import ResultCache
 
 __all__ = [
     "TILE_SHARD_SCHEMA_VERSION",
-    "TILE_MEMO_MAX",
     "ColdTiles",
     "tile_sub_key",
     "run_tile_shards",
-    "clear_tile_memo",
 ]
 
 #: Bump when the per-tile cache payload layout changes incompatibly.
 TILE_SHARD_SCHEMA_VERSION = 1
-
-#: Memory tier over the disk tile cache.  A persistent process serving a
-#: mutation stream probes the same clean-tile sub-keys request after
-#: request; parsing their JSON blobs off disk every time costs more than
-#: the dirty-tile recompute.  Entries are small per-tile payload dicts
-#: (~1 KiB), shared read-only between probes, and scoped to the disk
-#: cache root they mirror so distinct caches never alias.
-TILE_MEMO_MAX = 8192
-
-_TILE_MEMO: "OrderedDict[tuple[str, str], dict]" = OrderedDict()
-
-
-def clear_tile_memo() -> None:
-    """Drop the in-process tile payload memo (tests, cold benches)."""
-    _TILE_MEMO.clear()
-
-
-def _memo_put(memo_key: tuple[str, str], payload) -> None:
-    _TILE_MEMO[memo_key] = payload
-    _TILE_MEMO.move_to_end(memo_key)
-    while len(_TILE_MEMO) > TILE_MEMO_MAX:
-        _TILE_MEMO.popitem(last=False)
 
 
 def tile_sub_key(kind: str, parts: dict) -> str:
@@ -113,27 +88,18 @@ def run_tile_shards(
     """
     n = len(payloads)
     results: list = [None] * n
-    cache_hits = 0
-    memo_hits = 0
+    cache_hits = memo_hits = 0
     keys = list(tile_keys) if tile_keys is not None else [None] * n
     if cache is not None:
-        root = str(cache.root)
+        memory_before = cache.stats.memory_hits
         for i, key in enumerate(keys):
             if key is None:
-                continue
-            memo_key = (root, key)
-            hit = _TILE_MEMO.get(memo_key)
-            if hit is not None:
-                _TILE_MEMO.move_to_end(memo_key)
-                results[i] = hit
-                cache_hits += 1
-                memo_hits += 1
                 continue
             hit = cache.load(key)
             if hit is not None:
                 results[i] = hit
                 cache_hits += 1
-                _memo_put(memo_key, hit)
+        memo_hits = cache.stats.memory_hits - memory_before
 
     cold = [i for i in range(n) if results[i] is None]
     if cache is not None:
@@ -154,7 +120,6 @@ def run_tile_shards(
             key = keys[i]
             if cache is not None and key is not None:
                 cache.store(key, payload)
-                _memo_put((str(cache.root), key), payload)
 
     return TileRun(
         results,

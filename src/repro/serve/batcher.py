@@ -125,14 +125,12 @@ class JobBatcher:
     def _probe(self, key: str, job: SimJob) -> JobOutcome | None:
         """The cached outcome for ``key``, or ``None`` to queue the job.
 
-        Only a blob on disk is loaded.  An absent key goes straight to
-        the batch, whose ``run_jobs`` probe counts the miss, so each
-        request is counted once.  A stale or corrupt blob is evicted by
-        the load and the job is recomputed in the batch; that batch's
-        probe then finds no file and counts the request's one miss, so
-        the load's own miss is taken back here.
+        A miss (absent, stale or corrupt blob; the last two are evicted
+        by the load) is recomputed in the batch, whose ``run_jobs``
+        probe counts the request's one miss, so the load's own miss is
+        taken back here.  A memory-tier hit touches no file.
         """
-        if self.cache is None or not self.cache.path_for(key).exists():
+        if self.cache is None:
             return None
         with TRACER.span("cache.probe", {"jobs": 1}) as probe:
             outcome = cached_outcome(self.cache, key, job)

@@ -18,7 +18,7 @@ Request path::
 
 Endpoints: ``POST /simulate``, ``GET /healthz``, ``GET /stats``,
 ``GET /metrics`` (Prometheus text), ``GET /trace`` (buffered spans),
-``GET /result/<key>`` (cache-only lookup, the cluster peer-fetch tier).
+``GET /result/<key>`` (cache-only lookup by job key).
 Connections go through the shared :class:`~repro.serve.http.ConnectionLoop`:
 one reply per request, and the connection stays open for the next
 request only when the request sent ``Connection: keep-alive``.
@@ -271,10 +271,10 @@ class SimulationService:
         return payload
 
     def _result(self, key: str) -> tuple[int, dict]:
-        """Cache-only lookup by job content hash (the peer-fetch tier).
+        """Cache-only lookup by job content hash.
 
-        Never computes: a miss is a 404, so peers can probe each other's
-        warm shards cheaply before falling back to a real simulation.
+        Never computes: a miss is a 404, so a caller can probe for a
+        warm result cheaply before asking for a real simulation.
         """
         if not key or len(key) > 128 or not all(
             c in "0123456789abcdef" for c in key

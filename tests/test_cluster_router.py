@@ -86,17 +86,28 @@ class Fleet:
 
 
 class TestRouting:
-    def test_affinity_and_memory_tier(self):
-        with Fleet(2) as fleet:
+    def test_affinity_and_memory_tier(self, tmp_path):
+        router = ClusterRouter()
+        services = []
+        for i in range(2):
+            shard = tmp_path / f"shard-{i}"
+            services.append(
+                SimulationService(replica_id=str(i), cache=ResultCache(shard))
+            )
+            router.add_shard(ResultCache(shard))
+        with Fleet(2, router=router, services=services) as fleet:
             client = fleet.client()
             first = client.simulate(SMALL)
             assert first["cached"] is False
             assert first["replica"] in ("0", "1")
             second = client.simulate(SMALL)
             assert second["cached"] is True
-            assert second["tier"] == "memory"
+            assert second["tier"] == "disk"  # the owner's stored blob
+            third = client.simulate(SMALL)
+            assert third["tier"] == "memory"  # filled by that disk hit
+            assert third["result"] == second["result"]
             assert fleet.router.counters["proxied"] == 1
-            assert fleet.router.counters["tier_served"] == 1
+            assert fleet.router.counters["tier_served"] == 2
 
     def test_distinct_jobs_reach_both_replicas(self):
         with Fleet(2) as fleet:
@@ -108,7 +119,7 @@ class TestRouting:
             assert replicas == {"0", "1"}
 
     def test_same_key_same_replica(self):
-        with Fleet(2, router=ClusterRouter(lru_capacity=0)) as fleet:
+        with Fleet(2, router=ClusterRouter()) as fleet:
             client = fleet.client()
             owners = {
                 client.simulate({**SMALL, "seed": 7}).get("replica")
@@ -136,7 +147,7 @@ class TestRouting:
 class TestFailover:
     def test_dead_replica_fails_over(self):
         """Killing a replica's socket reroutes its keys, invisibly."""
-        with Fleet(2, router=ClusterRouter(lru_capacity=0)) as fleet:
+        with Fleet(2, router=ClusterRouter()) as fleet:
             client = fleet.client()
             probe = client.simulate({**SMALL, "seed": 3})
             owner = int(probe["replica"])
@@ -160,7 +171,7 @@ class TestShedding:
     def test_saturated_owner_sheds_429_with_retry_after(self):
         release = threading.Event()
         service = SimulationService(runner=make_runner(release=release))
-        router = ClusterRouter(max_inflight_per_replica=1, lru_capacity=0)
+        router = ClusterRouter(max_inflight_per_replica=1)
         with Fleet(1, router=router, services=[service]) as fleet:
             blocker = threading.Thread(
                 target=lambda: fleet.client().simulate(SMALL)
@@ -193,8 +204,11 @@ class TestShedding:
 
 
 class TestResultEndpoint:
-    def test_hit_miss_and_validation(self):
-        with Fleet(1) as fleet:
+    def test_hit_miss_and_validation(self, tmp_path):
+        router = ClusterRouter()
+        router.add_shard(ResultCache(tmp_path))
+        service = SimulationService(cache=ResultCache(tmp_path))
+        with Fleet(1, router=router, services=[service]) as fleet:
             client = fleet.client()
             payload = client.simulate(SMALL)
             key = payload["key"]
@@ -207,27 +221,77 @@ class TestResultEndpoint:
             status, _, bad = fleet.raw("GET", "/result/not-hex!")
             assert status == 400
 
-    def test_peer_fetch_rescues_other_shards(self, tmp_path):
-        """A result only on a replica's shard is found without recompute."""
-        shard = ResultCache(tmp_path)
-        service = SimulationService(cache=shard)
-        router = ClusterRouter(lru_capacity=4)
-        with Fleet(1, router=router, services=[service]) as fleet:
-            key = fleet.client().simulate(SMALL)["key"]
-            assert shard.load(key) is not None
-            # A second router with no tiers of its own: the peer tier
-            # (GET /result/<key> against a non-owner replica) must
-            # answer.  The same address joins under two names so the
-            # preference list always holds a non-owner peer.
-            rescue = ClusterRouter(lru_capacity=0)
-            host, port = fleet.threads[0].address
-            rescue.replica_up("0", host, port)
-            rescue.replica_up("1", host, port)
-            import asyncio
 
-            result, tier = asyncio.run(rescue.tiers.lookup(key))
-            assert tier == "peer"
-            assert result is not None
+class TestShards:
+    """The router reads its replicas' shards before proxying."""
+
+    KEY = "ab" + "0" * 62
+
+    def test_disk_hit_promotes_to_memory(self, tmp_path):
+        ResultCache(tmp_path).store(self.KEY, {"v": 2})
+        router = ClusterRouter()
+        router.add_shard(ResultCache(tmp_path))
+        with Fleet(0, router=router) as fleet:
+            for tier in ("disk", "memory"):
+                status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
+                assert status == 200
+                assert (hit["result"], hit["tier"]) == ({"v": 2}, tier)
+
+    def test_memory_hit(self, tmp_path):
+        ResultCache(tmp_path).store(self.KEY, {"v": 1})
+        assert ResultCache(tmp_path).load(self.KEY) == {"v": 1}  # warms memory
+        router = ClusterRouter()
+        router.add_shard(ResultCache(tmp_path))
+        with Fleet(0, router=router) as fleet:
+            status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
+            assert status == 200
+            assert (hit["result"], hit["tier"]) == ({"v": 1}, "memory")
+        assert router.tier_hits == {"memory": 1, "disk": 0}
+
+    def test_add_shard(self, tmp_path):
+        ResultCache(tmp_path).store(self.KEY, {"v": 5})
+        router = ClusterRouter()
+        with Fleet(0, router=router) as fleet:
+            status, _, _ = fleet.raw("GET", f"/result/{self.KEY}")
+            assert status == 404
+            router.add_shard(ResultCache(tmp_path))
+            status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
+            assert status == 200
+            assert (hit["result"], hit["tier"]) == ({"v": 5}, "disk")
+        assert len(router.shards) == 1
+
+    def test_later_shard_consulted(self, tmp_path):
+        ResultCache(tmp_path / "b").store(self.KEY, {"v": 3})
+        router = ClusterRouter()
+        router.add_shard(ResultCache(tmp_path / "a"))
+        router.add_shard(ResultCache(tmp_path / "b"))
+        with Fleet(0, router=router) as fleet:
+            status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
+            assert status == 200
+            assert (hit["result"], hit["tier"]) == ({"v": 3}, "disk")
+
+    def test_miss(self, tmp_path):
+        router = ClusterRouter()
+        router.add_shard(ResultCache(tmp_path))
+        with Fleet(0, router=router) as fleet:
+            status, _, miss = fleet.raw("GET", f"/result/{self.KEY}")
+            assert status == 404
+            assert miss["key"] == self.KEY
+
+    def test_stats_shape(self, tmp_path):
+        ResultCache(tmp_path).store(self.KEY, {"v": 1})
+        router = ClusterRouter()
+        router.add_shard(ResultCache(tmp_path))
+        with Fleet(0, router=router) as fleet:
+            fleet.raw("GET", f"/result/{self.KEY}")
+            fleet.raw("GET", f"/result/{self.KEY}")
+            fleet.raw("GET", "/result/" + "0" * 64)
+            _, _, stats = fleet.raw("GET", "/stats")
+        assert stats["router"]["tiers"] == {
+            "misses": 1,
+            "tier_hits": {"memory": 1, "disk": 1},
+            "disk_shards": 1,
+        }
 
 
 class TestOps:

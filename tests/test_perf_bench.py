@@ -254,3 +254,18 @@ class TestBenchSnapshot:
         counters = PERF.counters
         assert counters.get("mapping.tile_cache_miss") is None
         assert counters.get("mapping.tile_cache_hit", 0) >= 1
+
+    def test_clear_empties_the_result_memory_tier(self, tmp_path):
+        """After the clear, a result-cache load is served from disk."""
+        from repro.perf.bench import clear_hot_path_caches
+        from repro.runtime import ResultCache
+
+        cache = ResultCache(tmp_path)
+        key = "ab" + "0" * 62
+        cache.store(key, {"v": 1})
+        cache.load(key)
+        assert cache.load(key) == {"v": 1}
+        assert cache.stats.memory_hits == 1
+        clear_hot_path_caches()
+        assert cache.load(key) == {"v": 1}
+        assert cache.stats.memory_hits == 1

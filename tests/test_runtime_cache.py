@@ -1,10 +1,13 @@
 """Tests for the content-addressed on-disk result cache."""
 
 import json
+import threading
 
 import pytest
 
 from repro.runtime import ResultCache, SimJob, as_cache, code_fingerprint, job_key
+from repro.runtime import cache as cache_module
+from repro.runtime.cache import clear_memory_tier
 
 PAYLOAD = {"accelerator": "aurora", "total_seconds": 1.25}
 KEY = "ab" + "0" * 62
@@ -18,6 +21,7 @@ class TestAccounting:
         assert cache.load(KEY) == PAYLOAD
         assert cache.stats.as_dict() == {
             "hits": 1,
+            "memory_hits": 0,
             "misses": 1,
             "stores": 1,
             "invalidations": 0,
@@ -249,3 +253,163 @@ class TestConfiguration:
         explicit = ResultCache(tmp_path)
         assert as_cache(explicit) is explicit
         assert isinstance(as_cache(True), ResultCache)
+
+
+class TestMemoryTier:
+    @pytest.fixture(autouse=True)
+    def _cold_tier(self):
+        clear_memory_tier()
+        yield
+        clear_memory_tier()
+
+    def test_miss_then_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.load(KEY) is None
+        cache.store(KEY, PAYLOAD)
+        assert cache.load(KEY) == PAYLOAD  # from disk, filling the tier
+        assert cache.stats.memory_hits == 0
+        assert cache.load(KEY) == PAYLOAD  # from memory
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+        assert cache.stats.memory_hits == 1
+
+    def test_store_does_not_fill_memory(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store(KEY, PAYLOAD)
+        root = str(cache.root)
+        assert [k for k in cache_module._MEMORY if k[0] == root] == []
+        assert cache.load(KEY) == PAYLOAD
+        assert cache.stats.memory_hits == 0  # the first load reads disk
+
+    def test_memory_hit_equals_disk_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = {"total_seconds": 0.1 + 0.2, "name": "ü", "tiles": [1, [2.5]]}
+        cache.store(KEY, result)
+        disk = cache.load(KEY)
+        memory = cache.load(KEY)
+        assert cache.stats.memory_hits == 1
+        assert memory == disk == result
+
+    def test_distinct_roots_do_not_alias(self, tmp_path):
+        a = ResultCache(tmp_path / "a")
+        a.store(KEY, PAYLOAD)
+        assert a.load(KEY) == PAYLOAD
+        b = ResultCache(tmp_path / "b")
+        assert b.load(KEY) is None
+        assert (b.stats.hits, b.stats.misses) == (0, 1)
+
+    def test_different_fingerprint_never_hits(self, tmp_path):
+        old = ResultCache(tmp_path, fingerprint="aaaa")
+        old.store(KEY, PAYLOAD)
+        assert old.load(KEY) == PAYLOAD  # now in the memory tier
+        new = ResultCache(tmp_path, fingerprint="bbbb")
+        assert new.load(KEY) is None
+        assert new.stats.memory_hits == 0
+        assert new.stats.invalidations == 1
+
+    def _filled(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store(KEY, PAYLOAD)
+        assert cache.load(KEY) == PAYLOAD
+        return cache
+
+    def _entries(self, cache):
+        root = str(cache.root)
+        return [k for k in cache_module._MEMORY if k[0] == root]
+
+    def test_clear_drops_entries(self, tmp_path):
+        cache = self._filled(tmp_path)
+        cache.store("cd" + "0" * 62, PAYLOAD)
+        assert cache.load("cd" + "0" * 62) == PAYLOAD
+        cache.path_for(KEY).unlink()  # deleted behind the cache's back
+        assert cache.clear() == 1
+        assert self._entries(cache) == []
+        assert cache.load(KEY) is None
+
+    def test_prune_drops_entries(self, tmp_path):
+        import time
+
+        cache = self._filled(tmp_path)
+        assert cache.prune(0, now=time.time() + 10) == 1
+        assert self._entries(cache) == []
+        assert cache.load(KEY) is None
+
+    def test_prune_bytes_drops_entries(self, tmp_path):
+        cache = self._filled(tmp_path)
+        assert cache.prune_bytes(0) == 1
+        assert self._entries(cache) == []
+        assert cache.load(KEY) is None
+
+    def test_corrupt_blob_eviction_drops_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.path_for(KEY).parent.mkdir(parents=True)
+        cache.path_for(KEY).write_text("{not json")
+        assert cache.load(KEY) is None
+        assert cache.stats.corrupt == 1
+        assert self._entries(cache) == []
+        cache.store(KEY, PAYLOAD)
+        assert cache.load(KEY) == PAYLOAD
+        assert cache.stats.memory_hits == 0  # read from disk
+
+    def test_bound_evicts_least_recently_used(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_TIER_MAX", 2)
+        cache = ResultCache(tmp_path)
+        keys = [f"{i:02d}" + "0" * 62 for i in range(3)]
+        for key in keys:
+            cache.store(key, {"key": key})
+        cache.load(keys[0])
+        cache.load(keys[1])
+        cache.load(keys[0])  # memory hit; keys[1] is now the oldest
+        cache.load(keys[2])  # fills, evicting keys[1]
+        assert len(cache_module._MEMORY) == 2
+        assert cache.stats.memory_hits == 1
+        assert cache.load(keys[1]) == {"key": keys[1]}
+        assert cache.stats.memory_hits == 1  # keys[1] came from disk
+        assert cache.load(keys[2]) == {"key": keys[2]}
+        assert cache.stats.memory_hits == 2
+        assert len(cache_module._MEMORY) == 2
+
+    def test_concurrent_load_and_clear_never_raise(self, tmp_path, monkeypatch):
+        """Loaders and clearers racing (more threads than cores, short
+        switch interval) never raise, never see another key's result,
+        and never push the tier past its bound."""
+        import sys
+
+        monkeypatch.setattr(cache_module, "MEMORY_TIER_MAX", 4)
+        cache = ResultCache(tmp_path)
+        keys = [f"{i:02d}" + "0" * 62 for i in range(16)]
+        for key in keys:
+            cache.store(key, {"key": key})
+        errors = []
+
+        def loader():
+            try:
+                for _ in range(20):
+                    for key in keys:
+                        result = cache.load(key)
+                        assert result is None or result == {"key": key}
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        def clearer():
+            try:
+                for _ in range(20):
+                    cache.clear()
+                    clear_memory_tier()
+                    for key in keys:
+                        cache.store(key, {"key": key})
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=f) for f in (loader, loader, clearer, clearer)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache_module._MEMORY) <= 4

@@ -64,7 +64,7 @@ def front_end(kind, *, port=0, runner=None, drain_timeout=5.0):
         replica = ServerThread(service)
         replica.start()
         hosts.append(replica)
-        owner = ClusterRouter(lru_capacity=0)
+        owner = ClusterRouter()
         owner.replica_up("0", *replica.address)
     accepted = count_connections(owner)
     front = ServerThread(owner, port=port, drain_timeout=drain_timeout)

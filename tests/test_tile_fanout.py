@@ -19,8 +19,8 @@ from repro.graphs.tiling import tile_graph
 from repro.models.workload import LayerDims
 from repro.models.zoo import get_model
 from repro.perf import PERF
-from repro.runtime.cache import ResultCache
-from repro.runtime.shards import clear_tile_memo, run_tile_shards, tile_sub_key
+from repro.runtime.cache import ResultCache, clear_memory_tier
+from repro.runtime.shards import run_tile_shards, tile_sub_key
 
 TILE_COUNTERS = ("tiles.cache_hit", "tiles.memo_hit", "tiles.cache_miss")
 
@@ -33,7 +33,7 @@ class TestRunTileShards:
     def test_results_in_tile_order(self, tmp_path):
         """Warm and cold tiles interleave; the worker sees only the cold
         ones, and the results still come back in tile order."""
-        clear_tile_memo()
+        clear_memory_tier()
         cache = ResultCache(tmp_path)
         payloads = list(range(13))
         keys = [tile_sub_key("echo", {"p": p}) for p in payloads]
@@ -134,14 +134,14 @@ class TestAnalyticalCacheIdentity:
         cold_sim = AuroraSimulator(cfg, tile_cache=cache)
         cold = cold_sim.simulate_layer(model, g, dims)
         assert cold_sim.take_tile_stats()["reused"] == 0
-        # Warm from the memory tier, then from disk alone.
-        for clear in (False, True):
-            if clear:
-                clear_tile_memo()
+        # Warm from disk, which fills the memory tier, then from memory.
+        for _ in range(2):
+            memory_hits = cache.stats.memory_hits
             warm_sim = AuroraSimulator(cfg, tile_cache=cache)
             warm = warm_sim.simulate_layer(model, g, dims)
             assert warm_sim.take_tile_stats()["reused"] == uncached.num_tiles
             assert json.dumps(warm.to_dict(), sort_keys=True) == ref
+        assert cache.stats.memory_hits - memory_hits == uncached.num_tiles
         assert json.dumps(cold.to_dict(), sort_keys=True) == ref
 
 
