@@ -362,13 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="flush a batch early once it holds N unique jobs",
     )
     p_srv.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes per batch (1 = serial, in-thread)",
-    )
-    p_srv.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -457,13 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="per-replica admission queue depth",
-    )
-    p_cluster.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes per replica batch (1 = serial, in-thread)",
     )
     p_cluster.add_argument(
         "--cache-dir",
@@ -1022,7 +1008,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .runtime.cache import ResultCache
-    from .runtime.executor import get_executor
     from .serve.server import SimulationService, serve_forever
     from .telemetry import TRACER
 
@@ -1036,7 +1021,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.cache:
         cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
         # Per-tile sub-cache lives beside the job cache; the env var is
-        # how the job runner (and any pool workers it forks) find it.
+        # how the job runner finds it.
         import os
         from pathlib import Path
 
@@ -1045,7 +1030,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tiles_root = Path(cache.root) / "tiles"
         os.environ[ENV_TILE_CACHE_DIR] = str(tiles_root)
         tile_cache = ResultCache(root=tiles_root)
-    executor = get_executor(args.jobs, timeout=args.timeout)
     observe = None
     if args.observe or args.observe_record:
         from .observe import ObserveState
@@ -1058,7 +1042,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     service = SimulationService(
         cache=cache,
-        executor=executor,
         queue_depth=args.queue_depth,
         batch_window=args.batch_window,
         max_batch=args.max_batch,
@@ -1092,10 +1075,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         or os.environ.get(ENV_CACHE_DIR)
         or DEFAULT_CACHE_DIR
     )
-    serve_args = (
-        "--queue-depth", str(args.queue_depth),
-        "--jobs", str(args.jobs),
-    )
+    serve_args = ("--queue-depth", str(args.queue_depth))
     observe = None
     if args.observe or args.observe_record:
         from .observe import EventHub, ObserveState

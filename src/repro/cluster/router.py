@@ -371,7 +371,7 @@ class ClusterRouter:
         """Cluster aggregate: router view + every routable replica's /stats."""
         names = self.ring.nodes
         replica_stats = await asyncio.gather(
-            *(self._fetch_replica_stats(name) for name in names)
+            *(self._fetch_replica_json(name, "/stats") for name in names)
         )
         aggregated = dict(zip(names, replica_stats))
         requests_by_replica = {
@@ -457,20 +457,6 @@ class ClusterRouter:
         try:
             status, payload, _ = await wire.request_json(
                 address[0], address[1], "GET", path, timeout=5.0
-            )
-        except (OSError, asyncio.TimeoutError, wire.PeerProtocolError) as exc:
-            return {"error": f"{type(exc).__name__}: {exc}"}
-        if status != 200:
-            return {"error": f"HTTP {status}"}
-        return payload
-
-    async def _fetch_replica_stats(self, name: str) -> dict:
-        address = self._addresses.get(name)
-        if address is None:
-            return {"error": "not routable"}
-        try:
-            status, payload, _ = await wire.request_json(
-                address[0], address[1], "GET", "/stats", timeout=5.0
             )
         except (OSError, asyncio.TimeoutError, wire.PeerProtocolError) as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}

@@ -9,7 +9,7 @@ content-addressed result cache:
 * :mod:`.cache` — on-disk JSON result cache keyed by job hash and a
   source-tree fingerprint;
 * :mod:`.executor` — serial / process-pool / scripted-fake executors
-  with per-job failure isolation and timeouts;
+  with per-job failure isolation and cancellation;
 * :mod:`.runner` — :func:`run_jobs` orchestration plus sweep metrics.
 """
 
@@ -22,13 +22,7 @@ from .executor import (
     get_executor,
 )
 from .jobs import SimJob, execute_job, job_key, run_job
-from .runner import (
-    JobOutcome,
-    SweepMetrics,
-    SweepReport,
-    run_jobs,
-    run_jobs_async,
-)
+from .runner import JobOutcome, SweepMetrics, SweepReport, run_jobs
 from .shards import run_tile_shards, tile_sub_key
 
 __all__ = [
@@ -49,7 +43,6 @@ __all__ = [
     "SweepMetrics",
     "SweepReport",
     "run_jobs",
-    "run_jobs_async",
     "run_tile_shards",
     "tile_sub_key",
 ]

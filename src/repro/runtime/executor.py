@@ -1,10 +1,14 @@
 """Pluggable job executors: serial, process-pool, and a scripted fake.
 
-All executors share one contract: ``run(jobs, fn)`` applies ``fn`` (by
-default :func:`repro.runtime.jobs.execute_job`) to every job and returns
-one :class:`ExecutionRecord` per job, *in input order*, never raising for
-a failing job — a crash, an unknown dataset, or a timeout becomes an
-error record so one bad point cannot kill a thousand-point sweep.
+All executors share one contract: ``run(jobs, fn, *, trace_ctx, cancel)``
+applies ``fn`` (by default :func:`repro.runtime.jobs.execute_job`) to
+every job and returns one :class:`ExecutionRecord` per job, *in input
+order*, never raising for a failing job.  A job that raises (an unknown
+dataset, a bad config) becomes an error record and the rest of the batch
+runs on.  A pool worker that dies (a segfault, a SIGKILL) is different:
+it breaks the whole pool, so every job still in flight in that
+``ProcessExecutor.run()`` comes back as a ``BrokenProcessPool`` error
+record, not only the one that crashed.
 """
 
 from __future__ import annotations
@@ -103,8 +107,6 @@ class SerialExecutor:
     """Run jobs one after another in this process (the default)."""
 
     name = "serial"
-    supports_trace_ctx = True
-    supports_cancel = True
 
     def run(
         self,
@@ -124,13 +126,12 @@ class SerialExecutor:
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Kill and reap a pool whose worker blew its deadline.
+    """Kill and reap a cancelled or broken pool's workers.
 
-    ``ProcessPoolExecutor`` has no per-future kill, so a timed-out job
-    would otherwise occupy its worker slot until the simulation ends on
-    its own (possibly never).  Terminating the worker processes frees
-    the slots immediately; the survivors of the batch are resubmitted to
-    a fresh pool by the caller.
+    ``ProcessPoolExecutor`` has no per-future kill, so a cancelled job
+    would otherwise occupy its worker until the simulation ends on its
+    own (possibly never).  Terminating the worker processes frees them
+    immediately, and the joins make sure none outlives the ``run()``.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
     manager = getattr(pool, "_executor_manager_thread", None)
@@ -149,31 +150,17 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 class ProcessExecutor:
     """Fan jobs out over a bounded ``ProcessPoolExecutor``.
 
-    ``timeout`` bounds the wait for each job *from the moment collection
-    reaches it* — earlier jobs' waits overlap later jobs' execution, so
-    it is a per-job bound on observed latency, not CPU time.  A job that
-    exceeds it is reported as an error record and its stuck worker is
-    terminated and reaped; jobs that had not finished by then are
-    resubmitted to a fresh pool, so one hung simulation never occupies a
-    slot for the rest of the sweep.  Each ``run()`` owns its pools: every
-    one is shut down or terminated before the call returns, so no worker
-    outlives it.
+    Each ``run()`` owns one pool for one pass over the jobs: the pool is
+    shut down, or terminated on cancel or a broken pool, before the call
+    returns, so no worker outlives it.
     """
 
     name = "process"
-    supports_trace_ctx = True
-    supports_cancel = True
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        *,
-        timeout: float | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.timeout = timeout
 
     def run(
         self,
@@ -186,92 +173,53 @@ class ProcessExecutor:
         jobs = list(jobs)
         if not jobs:
             return []
-        records: dict[int, ExecutionRecord] = {}
-        pending = list(enumerate(jobs))
-        while pending:
-            if cancel is not None and cancel.is_set():
-                for index, job in pending:
-                    records[index] = ExecutionRecord(job, None, CANCELLED)
-                break
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.max_workers, len(pending))
-            )
-            futures = [
-                (index, job, pool.submit(_invoke, fn, job, trace_ctx))
-                for index, job in pending
-            ]
-            survivors: list[tuple[int, SimJob]] = []
-            timed_out = False
-            cancelled = False
-            for index, job, future in futures:
-                if timed_out or cancelled:
-                    # A worker is being reaped: harvest whatever already
-                    # finished; on timeout resubmit the rest to the next
-                    # pool, on cancel abandon them.
-                    if future.done() and not future.cancelled():
-                        records[index] = self._harvest(job, future)
-                    elif cancelled:
-                        future.cancel()
-                        records[index] = ExecutionRecord(job, None, CANCELLED)
-                    else:
-                        future.cancel()
-                        survivors.append((index, job))
-                    continue
-                status, value = self._await_future(future, cancel)
-                if status == "ok":
-                    records[index] = value
-                elif status == "cancelled":
-                    cancelled = True
-                    records[index] = ExecutionRecord(job, None, CANCELLED)
-                elif status == "timeout":
-                    timed_out = True
-                    records[index] = ExecutionRecord(
-                        job,
-                        None,
-                        f"timeout: exceeded {self.timeout:g}s",
-                        self.timeout or 0.0,
-                    )
-                else:  # broken pool, pickling failure, …
-                    records[index] = ExecutionRecord(job, None, value)
-            if timed_out or cancelled or getattr(pool, "_broken", False):
-                _terminate_pool(pool)
-            else:
-                pool.shutdown()
-            pending = survivors
-        return [records[index] for index in range(len(jobs))]
+        if cancel is not None and cancel.is_set():
+            return [ExecutionRecord(job, None, CANCELLED) for job in jobs]
+        pool = ProcessPoolExecutor(max_workers=min(self.max_workers, len(jobs)))
+        futures = [pool.submit(_invoke, fn, job, trace_ctx) for job in jobs]
+        records: list[ExecutionRecord] = []
+        cancelled = False
+        for job, future in zip(jobs, futures):
+            if cancelled:
+                # The pool is being reaped: keep whatever already
+                # finished and abandon the rest.
+                if future.done() and not future.cancelled():
+                    records.append(self._harvest(job, future))
+                else:
+                    future.cancel()
+                    records.append(ExecutionRecord(job, None, CANCELLED))
+                continue
+            status, value = self._await_future(future, cancel)
+            if status == "ok":
+                records.append(value)
+            elif status == "cancelled":
+                cancelled = True
+                records.append(ExecutionRecord(job, None, CANCELLED))
+            else:  # broken pool, pickling failure, …
+                records.append(ExecutionRecord(job, None, value))
+        if cancelled or getattr(pool, "_broken", False):
+            _terminate_pool(pool)
+        else:
+            pool.shutdown()
+        return records
 
+    @staticmethod
     def _await_future(
-        self, future, cancel: "threading.Event | None"
+        future, cancel: "threading.Event | None"
     ) -> tuple[str, ExecutionRecord | str | None]:
         """Wait for one future, re-checking ``cancel`` while blocked.
 
-        Returns ``("ok", record)``, ``("timeout", None)``,
-        ``("cancelled", None)`` or ``("error", message)``.  Without a
-        cancel event this is a single blocking wait, identical to the
-        pre-cancellation behaviour.
+        Returns ``("ok", record)``, ``("cancelled", None)`` or
+        ``("error", message)``.  Without a cancel event this is a single
+        blocking wait.
         """
-        deadline = (
-            time.monotonic() + self.timeout if self.timeout is not None else None
-        )
+        wait = _CANCEL_POLL_SECONDS if cancel is not None else None
         while True:
             if cancel is not None and cancel.is_set():
                 return "cancelled", None
-            if deadline is None:
-                wait = _CANCEL_POLL_SECONDS if cancel is not None else None
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return "timeout", None
-                wait = (
-                    min(_CANCEL_POLL_SECONDS, remaining)
-                    if cancel is not None
-                    else remaining
-                )
             try:
                 return "ok", future.result(timeout=wait)
             except FutureTimeoutError:
-                if cancel is None:
-                    return "timeout", None
                 continue
             except Exception as exc:
                 return "error", f"{type(exc).__name__}: {exc}"
@@ -293,8 +241,6 @@ class FakeExecutor:
     """
 
     name = "fake"
-    supports_trace_ctx = True
-    supports_cancel = True
 
     def __init__(
         self,
@@ -330,12 +276,10 @@ class FakeExecutor:
         return records
 
 
-def get_executor(
-    jobs: int = 1, *, timeout: float | None = None
-) -> SerialExecutor | ProcessExecutor:
+def get_executor(jobs: int = 1) -> SerialExecutor | ProcessExecutor:
     """Executor for a ``--jobs N`` style request (1 → serial)."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1:
         return SerialExecutor()
-    return ProcessExecutor(jobs, timeout=timeout)
+    return ProcessExecutor(jobs)

@@ -27,7 +27,6 @@ __all__ = [
     "SweepReport",
     "cached_outcome",
     "run_jobs",
-    "run_jobs_async",
 ]
 
 
@@ -189,20 +188,13 @@ def run_jobs(
         # Propagate this span's context into the executor (possibly a
         # process pool) and merge the child spans the records bring back
         # — one request, one tree, across the process boundary.
-        trace_ctx = TRACER.current_context()
-        run_kwargs: dict = {}
-        if cancel is not None and getattr(executor, "supports_cancel", False):
-            run_kwargs["cancel"] = cancel
-        if trace_ctx is not None and getattr(
-            executor, "supports_trace_ctx", False
-        ):
-            records = executor.run(
-                [job for _, job in pending], trace_ctx=trace_ctx, **run_kwargs
-            )
-            for record in records:
-                TRACER.merge(record.spans)
-        else:
-            records = executor.run([job for _, job in pending], **run_kwargs)
+        records = executor.run(
+            [job for _, job in pending],
+            trace_ctx=TRACER.current_context(),
+            cancel=cancel,
+        )
+        for record in records:
+            TRACER.merge(record.spans)
         span.set(executed=len(records))
     metrics = SweepMetrics(
         total_jobs=len(job_list),
@@ -243,33 +235,3 @@ def run_jobs(
     metrics.wall_seconds = time.perf_counter() - start
     return SweepReport([outcomes[key] for key in keys], metrics)
 
-
-async def run_jobs_async(
-    jobs: Iterable[SimJob],
-    *,
-    executor=None,
-    cache: ResultCache | bool | None = None,
-    jobs_n: int | None = None,
-    progress: Callable[[JobOutcome], None] | None = None,
-    cancel=None,
-) -> SweepReport:
-    """:func:`run_jobs` for asyncio callers (the ``repro.serve`` batcher).
-
-    The sweep itself is blocking (cache I/O, serial simulation or
-    process-pool collection), so it runs on a worker thread; the event
-    loop stays free to accept and shed requests while a batch executes.
-    """
-    import asyncio
-    import functools
-
-    return await asyncio.to_thread(
-        functools.partial(
-            run_jobs,
-            jobs,
-            executor=executor,
-            cache=cache,
-            jobs_n=jobs_n,
-            progress=progress,
-            cancel=cancel,
-        )
-    )

@@ -20,13 +20,13 @@ Three steps between the HTTP handlers and the simulators, in order::
   for the window.
 * **micro-batching** — the remaining misses accumulate for a short
   window (``batch_window`` seconds, or until ``max_batch`` jobs) and go
-  through :func:`repro.runtime.run_jobs` as *one* batch, amortizing
-  (with a process executor) pool spin-up across requests instead of
-  paying it per request.
+  through :func:`repro.runtime.run_jobs` as *one* batch, so the run's
+  span, cache probe and store are paid once per batch, not per request.
 
-The batch itself runs on a worker thread (`run_jobs_async`), keeping
-the event loop responsive for admission and shedding while simulations
-execute.
+The batch runs serially on a worker thread (``asyncio.to_thread``),
+keeping the event loop responsive for admission and shedding while
+simulations execute.  Process parallelism for serving is a fleet of
+replicas (``repro cluster --replicas N``), not a pool per batch.
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ from ..observe.events import HUB
 from ..perf import PERF
 from ..runtime.cache import ResultCache
 from ..runtime.jobs import SimJob, job_key
-from ..runtime.runner import (
-    JobOutcome,
-    SweepReport,
-    cached_outcome,
-    run_jobs_async,
-)
+from ..runtime.runner import JobOutcome, SweepReport, cached_outcome, run_jobs
 from ..telemetry import TRACER
 
 __all__ = ["JobBatcher"]
@@ -59,7 +54,6 @@ class JobBatcher:
         self,
         *,
         cache: ResultCache | None = None,
-        executor=None,
         batch_window: float = 0.005,
         max_batch: int = 16,
         runner: AsyncRunner | None = None,
@@ -69,7 +63,6 @@ class JobBatcher:
         if batch_window < 0:
             raise ValueError("batch_window must be >= 0")
         self.cache = cache
-        self.executor = executor
         self.batch_window = batch_window
         self.max_batch = max_batch
         self._runner = runner or self._default_runner
@@ -81,7 +74,7 @@ class JobBatcher:
         self.singleflight_joins = 0
 
     async def _default_runner(self, jobs: list[SimJob]) -> SweepReport:
-        return await run_jobs_async(jobs, executor=self.executor, cache=self.cache)
+        return await asyncio.to_thread(run_jobs, jobs, cache=self.cache)
 
     # ------------------------------------------------------------------
     async def submit(self, job: SimJob) -> tuple[JobOutcome, bool]:

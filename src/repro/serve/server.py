@@ -119,7 +119,6 @@ class SimulationService:
         self,
         *,
         cache: ResultCache | None = None,
-        executor=None,
         queue_depth: int = 64,
         batch_window: float = 0.005,
         max_batch: int = 16,
@@ -140,8 +139,7 @@ class SimulationService:
         self.observe = observe
         # Async design-space searches share this replica's result cache:
         # a search warms the serving path and vice versa.  Searches run
-        # on their own daemon threads with a serial evaluator so they
-        # never contend for the batcher's executor.
+        # serially on their own daemon threads, never on the batch thread.
         self.dse = DSEManager(
             cache=cache,
             artifact_dir=dse_artifact_dir,
@@ -157,7 +155,6 @@ class SimulationService:
         self.admission = AdmissionController(queue_depth)
         self.batcher = JobBatcher(
             cache=cache,
-            executor=executor,
             batch_window=batch_window,
             max_batch=max_batch,
             runner=runner,

@@ -40,6 +40,19 @@ class TestParser:
         args = build_parser().parse_args(["experiment", "E1", "--jobs", "2"])
         assert args.jobs == 2
 
+    def test_dse_accepts_jobs_flag(self):
+        args = build_parser().parse_args(["dse", "--jobs", "2"])
+        assert args.jobs == 2
+
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
+    def test_serving_commands_reject_jobs(self, command, capsys):
+        # A serve batch always runs in-thread; serving scales out with
+        # ``repro cluster --replicas N``, not a pool per batch.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_rejects_nonpositive_jobs(self):
         for bad in ("0", "-1"):
             with pytest.raises(SystemExit):
@@ -51,7 +64,7 @@ class TestParser:
         assert args.port == 8765
         assert args.queue_depth == 64
         assert args.cache is True
-        assert args.jobs == 1
+        assert args.timeout is None
 
     def test_serve_flags(self):
         args = build_parser().parse_args(

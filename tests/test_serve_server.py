@@ -2,8 +2,9 @@
 
 Covers the acceptance criteria that don't need a subprocess: two
 concurrent identical requests collapse to one execution, the bounded
-queue sheds under overload, per-request timeouts answer 504, and the
-drain path completes in-flight work.
+queue sheds under overload, per-request timeouts answer 504 while their
+execution finishes into the cache, and the drain path completes
+in-flight work.
 """
 
 import threading
@@ -208,6 +209,53 @@ class TestTimeouts:
                 client.simulate(SMALL)
         assert excinfo.value.status == 504
         assert service.counters["timeouts"] == 1
+
+    @staticmethod
+    def _timed_out_service(cache, calls):
+        # The batch outlives the 0.1 s budget by about half a second.
+        return SimulationService(
+            cache=cache,
+            runner=make_counting_runner(calls, delay=0.5, cache=cache),
+            batch_window=0.0,
+            request_timeout=0.1,
+        )
+
+    def test_timed_out_execution_lands_in_cache(self, tmp_path):
+        """The 504 abandons the request, not its shielded execution: the
+        batch finishes on its thread and stores the result, so the same
+        request asked again is a cache hit with no second batch."""
+        cache = ResultCache(tmp_path)
+        calls = []
+        service = self._timed_out_service(cache, calls)
+        with ServerThread(service) as thread:
+            client = ServeClient(*thread.address, retries=0, timeout=60.0)
+            with pytest.raises(RequestFailed) as excinfo:
+                client.simulate(SMALL)
+            assert excinfo.value.status == 504
+            assert client.stats()["requests"]["timeouts"] == 1
+            deadline = time.monotonic() + 30.0
+            while service.batcher.inflight_count and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert service.batcher.inflight_count == 0
+            payload = client.simulate(SMALL)
+        assert payload["cached"] is True
+        assert payload["key"] == excinfo.value.payload["key"]
+        assert len(calls) == 1
+        assert service.counters["timeouts"] == 1
+
+    def test_stop_waits_for_timed_out_execution(self, tmp_path):
+        calls = []
+        service = self._timed_out_service(ResultCache(tmp_path), calls)
+        thread = ServerThread(service)
+        client = ServeClient(*thread.start(), retries=0, timeout=60.0)
+        with pytest.raises(RequestFailed) as excinfo:
+            client.simulate(SMALL)
+        assert excinfo.value.status == 504
+        assert service.batcher.inflight_count == 1  # still running
+        assert thread.stop() == 0  # the drain waited for it
+        assert len(calls) == 1
+        stored = ResultCache(tmp_path).load(excinfo.value.payload["key"])
+        assert stored is not None
 
     def test_client_deadline_header_caps_server_budget(self):
         calls = []

@@ -289,19 +289,6 @@ class TestRunJobsIntegration:
             names = {s.name for s in TRACER.buffer.spans()}
         assert "executor.job" in names
 
-    def test_executor_without_trace_support_still_works(self):
-        class BareExecutor:
-            def run(self, jobs, fn=None):
-                from repro.runtime.jobs import execute_job
-                from repro.runtime.executor import _invoke
-
-                return [_invoke(execute_job, job) for job in jobs]
-
-        with TRACER.session():
-            with TRACER.span("request"):
-                report = run_jobs([self.job()], executor=BareExecutor())
-        assert report.outcomes[0].ok
-
     def test_session_restores_disabled_state(self):
         assert TRACER.enabled is False
         with TRACER.session():
