@@ -1116,7 +1116,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     for cfg in configs:
         # The router reads replica shards directly (same host): a ring
         # change then finds results the previous owner already computed.
-        router.add_shard(ResultCache(root=cfg.cache_dir))
+        router.add_shard(cfg.name, ResultCache(root=cfg.cache_dir))
     return asyncio.run(
         cluster_forever(
             router,

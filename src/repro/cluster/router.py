@@ -89,9 +89,9 @@ class ClusterRouter:
         self.proxy_timeout = proxy_timeout
         self.retry_after_hint = retry_after_hint
         self.supervisor = supervisor
-        #: Replica result-cache shards read before proxying (see
-        #: :meth:`add_shard`), and what they answered.
-        self.shards: list[ResultCache] = []
+        #: Replica result-cache shards read before proxying, by replica
+        #: name (see :meth:`add_shard`), and what they answered.
+        self.shards: dict[str, ResultCache] = {}
         self.tier_hits = {"memory": 0, "disk": 0}
         self.tier_misses = 0
         #: Optional :class:`repro.observe.ObserveState` (built around a
@@ -153,17 +153,24 @@ class ClusterRouter:
         )
         self._started = time.monotonic()
 
-    def add_shard(self, cache: ResultCache) -> None:
-        """Read ``cache`` before proxying (a replica's shard, same host)."""
-        self.shards.append(cache)
+    def add_shard(self, name: str, cache: ResultCache) -> None:
+        """Read ``cache`` before proxying: replica ``name``'s shard, same host."""
+        self.shards[name] = cache
 
     def _lookup(self, key: str) -> tuple[dict | None, str | None]:
         """The first shard's cached result for ``key`` and its tier.
 
-        The tier is ``memory`` when the shard's memory tier answered,
-        ``disk`` when the blob was read; ``(None, None)`` on a miss.
+        Shards are probed in ring order from ``key``'s owner, which holds
+        the result whenever the ring has not changed since it was
+        computed, then the shards of replicas not in the ring.  The tier
+        is ``memory`` when the shard's memory tier answered, ``disk``
+        when the blob was read; ``(None, None)`` on a miss.
         """
-        for shard in self.shards:
+        ranked = self.ring.preference(key)
+        order = [name for name in ranked if name in self.shards]
+        order += [name for name in self.shards if name not in ranked]
+        for name in order:
+            shard = self.shards[name]
             memory_hits = shard.stats.memory_hits
             result = shard.load(key)
             if result is not None:

@@ -79,7 +79,7 @@ def _tile_keys(
     cached under one tiling configuration must never satisfy a probe
     from another.
     """
-    from ..runtime.shards import tile_sub_key
+    from ..runtime.shards import tile_sub_keys
 
     base = {
         "model": model.name,
@@ -88,10 +88,9 @@ def _tile_keys(
         "policy": mapping_policy,
         "tiling": partition_signature,
     }
-    return [
-        tile_sub_key("cycle-tile", {**base, "graph": sub.content_key})
-        for sub in subs
-    ]
+    return tile_sub_keys(
+        "cycle-tile", base, [{"graph": sub.content_key} for sub in subs]
+    )
 
 
 def run_cycle_layer(

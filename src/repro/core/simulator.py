@@ -501,7 +501,7 @@ class AuroraSimulator:
         batches reproduce the full-batch results exactly.
         """
         # Deferred import: repro.runtime imports this module.
-        from ..runtime.shards import run_tile_shards, tile_sub_key
+        from ..runtime.shards import run_tile_shards, tile_sub_keys
 
         def evaluate_cold(cold):
             mappings = [
@@ -548,17 +548,17 @@ class AuroraSimulator:
                 # tiling configuration must never satisfy another.
                 "tiling": tiling_signature,
             }
-            keys = [
-                tile_sub_key(
-                    "analytical-tile",
+            keys = tile_sub_keys(
+                "analytical-tile",
+                base,
+                [
                     {
-                        **base,
                         "graph": tile.subgraph.content_key,
                         "boundary": [tile.boundary_edges, tile.external_vertices],
-                    },
-                )
-                for tile in tiles
-            ]
+                    }
+                    for tile in tiles
+                ],
+            )
         run = run_tile_shards(
             tiles,
             evaluate_cold,

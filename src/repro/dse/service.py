@@ -71,13 +71,11 @@ class DSEManager:
         self,
         *,
         cache=None,
-        executor=None,
         artifact_dir=None,
         max_active: int = 2,
         replica_id: str = "0",
     ) -> None:
         self.cache = cache
-        self.executor = executor
         self.artifact_dir = artifact_dir
         self.max_active = max_active
         self.replica_id = replica_id
@@ -147,7 +145,6 @@ class DSEManager:
             runner = DSERunner(
                 spec,
                 cache=self.cache,
-                executor=self.executor,
                 trajectory_path=trajectory_path,
             )
             search = _Search(search_id, runner)

@@ -14,10 +14,15 @@ cycle-tier simulator needs for tractable runs.  The analytical tier uses
 
 from __future__ import annotations
 
+import hashlib
+import json
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..perf import PERF
 from .csr import CSRGraph
 from .generators import (
     bipartite_graph,
@@ -43,8 +48,12 @@ __all__ = [
 #: five paper datasets at their sweep scales ~0.6 s on a 2-vCPU x86
 #: container), while a design-search evaluation, which loads its graph
 #: through :func:`repro.runtime.jobs.run_job`, costs ~35 ms.  Serve
-#: requests and delta bases load through it too.  Small: full-scale
-#: graphs are large.
+#: requests load through it too.  Small: full-scale graphs are large.
+#: A delta base outlives its memo entry: the job runner passes the
+#: per-tile result cache as ``store``, which keeps the synthesised
+#: snapshot on disk (see :func:`load_dataset`), so a base evicted by
+#: other graphs is read back (~9 ms for pubmed@0.5) instead of
+#: re-synthesised.
 SNAPSHOT_CACHE_MAX = 4
 
 _SNAPSHOTS: "OrderedDict[tuple, CSRGraph]" = OrderedDict()
@@ -247,11 +256,49 @@ def dataset_profile(name: str) -> DatasetProfile:
     )
 
 
+def _snapshot_key(memo_key: tuple) -> str:
+    """The store key of one memo key's snapshot entry."""
+    blob = json.dumps(["dataset-snapshot", 1, *memo_key], separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _snapshot_entry(graph: CSRGraph) -> dict:
+    return {
+        "indptr": graph.indptr.tolist(),
+        "indices": graph.indices.tolist(),
+        "num_features": graph.num_features,
+        "feature_density": graph.feature_density,
+        "edge_feature_dim": graph.edge_feature_dim,
+        "name": graph.name,
+        "content_key": graph.content_key,
+    }
+
+
+def _snapshot_graph(entry: dict) -> CSRGraph | None:
+    """The graph a stored entry holds, or ``None`` when it is damaged:
+    malformed, or rebuilt to a different ``content_key``."""
+    try:
+        graph = CSRGraph(
+            np.asarray(entry["indptr"], dtype=np.int64),
+            np.asarray(entry["indices"], dtype=np.int64),
+            num_features=entry["num_features"],
+            feature_density=entry["feature_density"],
+            edge_feature_dim=entry["edge_feature_dim"],
+            name=entry["name"],
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if graph.content_key != entry.get("content_key"):
+        return None
+    return graph
+
+
 def load_dataset(
     name: str,
     *,
     scale: float = 1.0,
     seed: int = 7,
+    store=None,
 ) -> CSRGraph:
     """Generate the synthetic stand-in for dataset ``name``.
 
@@ -265,6 +312,13 @@ def load_dataset(
     seed:
         Non-negative integer generator seed; the default is fixed so
         experiment outputs are reproducible run to run.
+    store:
+        Optional snapshot store: any object with ``load(key)`` returning
+        a dict or ``None`` and ``store(key, blob)`` (a
+        :class:`repro.runtime.ResultCache`).  On a memo miss the stored
+        snapshot is read before synthesising, and a synthesised graph is
+        written to it.  An entry that is damaged or rebuilds to another
+        ``content_key`` is a miss, synthesised and overwritten.
     """
     if not (0.0 < scale <= 1.0):
         raise ValueError("scale must be in (0, 1]")
@@ -279,25 +333,37 @@ def load_dataset(
     if cached is not None:
         _SNAPSHOTS.move_to_end(memo_key)
         return cached
+    graph = None
+    if store is not None:
+        store_key = _snapshot_key(memo_key)
+        entry = store.load(store_key)
+        graph = _snapshot_graph(entry) if entry is not None else None
+        PERF.incr("graphs.snapshot_hit" if graph is not None else "graphs.snapshot_miss")
+    if graph is None:
+        graph = _synthesise(prof, scale, seed)
+        if store is not None:
+            store.store(store_key, _snapshot_entry(graph))
+    _SNAPSHOTS[memo_key] = graph
+    while len(_SNAPSHOTS) > SNAPSHOT_CACHE_MAX:
+        _SNAPSHOTS.popitem(last=False)
+    return graph
+
+
+def _synthesise(prof: DatasetProfile, scale: float, seed: int) -> CSRGraph:
     n = max(16, int(round(prof.num_vertices * scale)))
     m = max(n, int(round(prof.num_edges * scale)))
     m = min(m, n * n)
     graph_name = prof.name if scale == 1.0 else f"{prof.name}@{scale:g}"
     builder = _ADVERSARIAL_BUILDERS.get(prof.name)
     if builder is not None:
-        graph = builder(prof, n, m, seed, graph_name)
-    else:
-        graph = power_law_graph(
-            n,
-            m,
-            exponent=prof.degree_exponent,
-            locality=prof.locality,
-            num_features=prof.num_features,
-            feature_density=prof.feature_density,
-            seed=seed,
-            name=graph_name,
-        )
-    _SNAPSHOTS[memo_key] = graph
-    while len(_SNAPSHOTS) > SNAPSHOT_CACHE_MAX:
-        _SNAPSHOTS.popitem(last=False)
-    return graph
+        return builder(prof, n, m, seed, graph_name)
+    return power_law_graph(
+        n,
+        m,
+        exponent=prof.degree_exponent,
+        locality=prof.locality,
+        num_features=prof.num_features,
+        feature_density=prof.feature_density,
+        seed=seed,
+        name=graph_name,
+    )

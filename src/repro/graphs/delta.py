@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..arrays import run_starts, sorted_unique
 from .csr import CSRGraph, compute_row_digests
 from .tiling import TilingPlan
 
@@ -162,11 +163,12 @@ class MutationLog:
         return len(self.deltas)
 
 
-def _group_by_row(edges: _Edges) -> dict:
-    by_row: dict[int, list[int]] = {}
-    for u, v in edges:
-        by_row.setdefault(u, []).append(v)
-    return {r: np.asarray(sorted(vs), dtype=np.int64) for r, vs in by_row.items()}
+def _edge_array(edges: _Edges) -> np.ndarray:
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+# Per-key membership bits of the one sorted pass in :func:`apply_delta`.
+_CUR, _DEL, _INS = 1, 2, 4
 
 
 def apply_delta(
@@ -179,68 +181,83 @@ def apply_delta(
     """Apply one mutation batch, rebuilding only the touched rows.
 
     Deletes are applied before inserts.  With ``strict`` (the default) a
-    delete of an absent edge or an insert of a present edge raises; with
+    delete of an absent edge or an insert of a present edge raises,
+    naming the first offending edge in (row, col) order; with
     ``strict=False`` both degrade to set semantics (no-ops).  Rows are
     kept sorted and deduplicated, so the result is bit-identical to
     rebuilding the CSR from the mutated edge set from scratch.
 
-    The returned graph's per-row digests are seeded from the parent and
-    recomputed for touched rows only — its ``content_key`` is therefore
-    incremental in the delta size, not the graph size.
+    The touched rows' edges, the deletes and the inserts become
+    ``row * n + col`` keys that one sort groups: each distinct key's
+    membership bits say whether it stays.  The returned graph's per-row
+    digests are seeded from the parent and recomputed for touched rows
+    only — its ``content_key`` is therefore incremental in the delta
+    size, not the graph size.
     """
     n = graph.num_vertices
-    for label, edges in (("insert", delta.inserts), ("delete", delta.deletes)):
-        for u, v in edges:
-            if u >= n or v >= n:
-                raise ValueError(
-                    f"{label} edge ({u}, {v}) out of range for {n} vertices"
-                )
-    touched = delta.touched_rows()
+    ins = _edge_array(delta.inserts)
+    dels = _edge_array(delta.deletes)
+    for label, edges in (("insert", ins), ("delete", dels)):
+        bad = np.flatnonzero((edges >= n).any(axis=1))
+        if bad.size:
+            u, v = edges[bad[0]].tolist()
+            raise ValueError(
+                f"{label} edge ({u}, {v}) out of range for {n} vertices"
+            )
+    touched = sorted_unique(np.concatenate((ins[:, 0], dels[:, 0])))
     if touched.size == 0:
         return graph
 
     indptr, indices = graph.indptr, graph.indices
-    ins_map = _group_by_row(delta.inserts)
-    del_map = _group_by_row(delta.deletes)
+    degrees = graph.degrees
+    # Positions of the touched rows' current edges in ``indices``.
+    old_counts = degrees[touched]
+    old_before = np.cumsum(old_counts) - old_counts
+    positions = np.arange(int(old_counts.sum()), dtype=np.int64) + np.repeat(
+        indptr[touched] - old_before, old_counts
+    )
+    current = np.repeat(touched, old_counts) * n + indices[positions]
 
-    new_rows: dict[int, np.ndarray] = {}
-    for r in touched.tolist():
-        cur = indices[indptr[r] : indptr[r + 1]]
-        dels = del_map.get(r)
-        if dels is not None:
-            if strict:
-                missing = dels[~np.isin(dels, cur)]
-                if missing.size:
-                    raise ValueError(
-                        f"delete of absent edge ({r}, {int(missing[0])})"
-                    )
-            cur = np.setdiff1d(cur, dels, assume_unique=False)
-        ins = ins_map.get(r)
-        if ins is not None:
-            if strict:
-                dup = ins[np.isin(ins, cur)]
-                if dup.size:
-                    raise ValueError(
-                        f"insert of existing edge ({r}, {int(dup[0])})"
-                    )
-            cur = np.union1d(cur, ins)
-        new_rows[r] = np.ascontiguousarray(cur, dtype=np.int64)
+    # Key * 8 + membership bit: the sort orders by key, and OR-ing the
+    # bits over each key's run gives its membership in all three sets.
+    tagged = np.concatenate((
+        current * 8 + _CUR,
+        (dels[:, 0] * n + dels[:, 1]) * 8 + _DEL,
+        (ins[:, 0] * n + ins[:, 1]) * 8 + _INS,
+    ))
+    tagged.sort()
+    starts = run_starts(tagged >> 3)
+    keys = tagged[starts] >> 3
+    member = np.bitwise_or.reduceat(tagged & 7, starts)
+    if strict:
+        absent = keys[(member & (_DEL | _CUR)) == _DEL]
+        present = keys[(member & (_INS | _DEL | _CUR)) == (_INS | _CUR)]
+        # The first offending row reports; in it, a delete before an insert.
+        if absent.size and (not present.size or absent[0] // n <= present[0] // n):
+            r, c = divmod(int(absent[0]), n)
+            raise ValueError(f"delete of absent edge ({r}, {c})")
+        if present.size:
+            r, c = divmod(int(present[0]), n)
+            raise ValueError(f"insert of existing edge ({r}, {c})")
+    kept = keys[((member & _INS) != 0) | ((member & (_CUR | _DEL)) == _CUR)]
+    new_rows = kept // n
+    new_cols = kept % n
+    new_counts = np.bincount(
+        np.searchsorted(touched, new_rows), minlength=touched.size
+    )
 
-    degrees = graph.degrees.copy()
-    for r, arr in new_rows.items():
-        degrees[r] = arr.size
+    new_degrees = degrees.copy()
+    new_degrees[touched] = new_counts
     new_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=new_indptr[1:])
-
-    # Splice: untouched row spans are copied in bulk between touched rows.
-    pieces: list[np.ndarray] = []
-    prev = 0
-    for r in touched.tolist():
-        pieces.append(indices[indptr[prev] : indptr[r]])
-        pieces.append(new_rows[r])
-        prev = r + 1
-    pieces.append(indices[indptr[prev] :])
-    new_indices = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    np.cumsum(new_degrees, out=new_indptr[1:])
+    # Splice: drop the touched rows' old edges, then insert each new
+    # edge where its row starts among the untouched edges left.
+    row_start = indptr[touched] - old_before
+    new_indices = np.insert(
+        np.delete(indices, positions),
+        np.repeat(row_start, new_counts),
+        new_cols,
+    )
 
     child = CSRGraph(
         new_indptr,
@@ -252,9 +269,8 @@ def apply_delta(
     )
     digests = graph.row_digests.copy()
     mini_indptr = np.zeros(touched.size + 1, dtype=np.int64)
-    np.cumsum(degrees[touched], out=mini_indptr[1:])
-    mini_indices = np.concatenate([new_rows[r] for r in touched.tolist()])
-    digests[touched] = compute_row_digests(mini_indptr, mini_indices)
+    np.cumsum(new_counts, out=mini_indptr[1:])
+    digests[touched] = compute_row_digests(mini_indptr, new_cols)
     child._row_digests = digests
     child.derived_from = graph.content_key
     return child

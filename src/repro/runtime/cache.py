@@ -92,6 +92,7 @@ class CacheStats:
     stores: int = 0
     invalidations: int = 0  # fingerprint mismatches evicted
     corrupt: int = 0  # undecodable blobs evicted
+    store_errors: int = 0  # writes that failed with an OSError
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -101,6 +102,7 @@ class CacheStats:
             "stores": self.stores,
             "invalidations": self.invalidations,
             "corrupt": self.corrupt,
+            "store_errors": self.store_errors,
         }
 
 
@@ -171,8 +173,14 @@ class ResultCache:
                 _MEMORY.popitem(last=False)
         return result
 
-    def store(self, key: str, result: dict, job: SimJob | None = None) -> None:
-        """Atomically write one result blob (tempfile + rename)."""
+    def store(self, key: str, result: dict, job: SimJob | None = None) -> bool:
+        """Atomically write one result blob (tempfile + rename).
+
+        A write that fails with an ``OSError`` (a full disk, a read-only
+        root) removes its temporary file, counts in
+        ``stats.store_errors`` and returns ``False``: a cache that cannot
+        grow slows a run down, it never fails it.
+        """
         path = self.path_for(key)
         blob = {
             "fingerprint": self.fingerprint,
@@ -180,25 +188,31 @@ class ResultCache:
             "job": job.as_dict() if job is not None else None,
             "result": result,
         }
+        tmp = None
         try:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except FileNotFoundError:
-            # Only a store into a new shard pays for the mkdir.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
+            try:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            except FileNotFoundError:
+                # Only a store into a new shard pays for the mkdir.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             # ``dumps`` runs the C encoder; ``dump`` to a file streams
             # through the pure-Python one.  The text is the same.
             with os.fdopen(fd, "w") as handle:
                 handle.write(json.dumps(blob))
             os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        except BaseException as exc:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+            if not isinstance(exc, OSError):
+                raise
+            self.stats.store_errors += 1
+            return False
         self.stats.stores += 1
+        return True
 
     # ------------------------------------------------------------------
     def entries(self) -> list[Path]:

@@ -287,7 +287,16 @@ def run_job(job: SimJob) -> SimulationResult:
 def _run_job(job: SimJob) -> SimulationResult:
     global _LAST_EXEC_META
     cfg = job.resolved_config()
-    graph = load_dataset(job.dataset, scale=job.scale, seed=job.seed)
+    tile_cache = _tile_cache()
+    # A delta's base is kept beside its tiles, so a base that left the
+    # snapshot memo is read back, not re-synthesised.  Other jobs read
+    # their graph once: storing it would only cost a write.
+    graph = load_dataset(
+        job.dataset,
+        scale=job.scale,
+        seed=job.seed,
+        store=tile_cache if job.mutations else None,
+    )
     if job.mutations:
         # Incremental path: touched rows rebuild, row digests refresh
         # incrementally, so tile content keys of clean tiles are
@@ -300,7 +309,6 @@ def _run_job(job: SimJob) -> SimulationResult:
         device = BaselineAccelerator(job.baseline_traits, cfg)
         return device.simulate(model, graph, dims, strict=job.strict)
     if job.accelerator == "aurora":
-        tile_cache = _tile_cache()
         sim = AuroraSimulator(
             cfg, mapping_policy=job.mapping, tile_cache=tile_cache
         )

@@ -94,7 +94,7 @@ class TestRouting:
             services.append(
                 SimulationService(replica_id=str(i), cache=ResultCache(shard))
             )
-            router.add_shard(ResultCache(shard))
+            router.add_shard(str(i), ResultCache(shard))
         with Fleet(2, router=router, services=services) as fleet:
             client = fleet.client()
             first = client.simulate(SMALL)
@@ -206,7 +206,7 @@ class TestShedding:
 class TestResultEndpoint:
     def test_hit_miss_and_validation(self, tmp_path):
         router = ClusterRouter()
-        router.add_shard(ResultCache(tmp_path))
+        router.add_shard("0", ResultCache(tmp_path))
         service = SimulationService(cache=ResultCache(tmp_path))
         with Fleet(1, router=router, services=[service]) as fleet:
             client = fleet.client()
@@ -230,7 +230,7 @@ class TestShards:
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         ResultCache(tmp_path).store(self.KEY, {"v": 2})
         router = ClusterRouter()
-        router.add_shard(ResultCache(tmp_path))
+        router.add_shard("0", ResultCache(tmp_path))
         with Fleet(0, router=router) as fleet:
             for tier in ("disk", "memory"):
                 status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
@@ -241,7 +241,7 @@ class TestShards:
         ResultCache(tmp_path).store(self.KEY, {"v": 1})
         assert ResultCache(tmp_path).load(self.KEY) == {"v": 1}  # warms memory
         router = ClusterRouter()
-        router.add_shard(ResultCache(tmp_path))
+        router.add_shard("0", ResultCache(tmp_path))
         with Fleet(0, router=router) as fleet:
             status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
             assert status == 200
@@ -254,7 +254,7 @@ class TestShards:
         with Fleet(0, router=router) as fleet:
             status, _, _ = fleet.raw("GET", f"/result/{self.KEY}")
             assert status == 404
-            router.add_shard(ResultCache(tmp_path))
+            router.add_shard("0", ResultCache(tmp_path))
             status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
             assert status == 200
             assert (hit["result"], hit["tier"]) == ({"v": 5}, "disk")
@@ -263,16 +263,44 @@ class TestShards:
     def test_later_shard_consulted(self, tmp_path):
         ResultCache(tmp_path / "b").store(self.KEY, {"v": 3})
         router = ClusterRouter()
-        router.add_shard(ResultCache(tmp_path / "a"))
-        router.add_shard(ResultCache(tmp_path / "b"))
+        router.add_shard("a", ResultCache(tmp_path / "a"))
+        router.add_shard("b", ResultCache(tmp_path / "b"))
         with Fleet(0, router=router) as fleet:
             status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
             assert status == 200
             assert (hit["result"], hit["tier"]) == ({"v": 3}, "disk")
 
+    def test_owner_probed_first(self, tmp_path):
+        """A key owned by the third replica is answered by its shard
+        without a probe of the other two."""
+        router = ClusterRouter()
+        for name in ("0", "1", "2"):
+            router.ring.add(name)
+        key = next(
+            k for k in (f"{i:064x}" for i in range(1000))
+            if router.ring.preference(k)[0] == "2"
+        )
+        caches = {}
+        for name in ("0", "1", "2"):
+            caches[name] = ResultCache(tmp_path / name)
+            router.add_shard(name, caches[name])
+        ResultCache(tmp_path / "2").store(key, {"v": 7})
+        assert router._lookup(key) == ({"v": 7}, "disk")
+        assert [caches[n].stats.misses for n in ("0", "1", "2")] == [0, 0, 0]
+        assert caches["2"].stats.hits == 1
+
+    def test_shard_outside_ring_probed_last(self, tmp_path):
+        router = ClusterRouter()
+        router.ring.add("0")
+        router.add_shard("gone", ResultCache(tmp_path / "gone"))
+        router.add_shard("0", ResultCache(tmp_path / "0"))
+        ResultCache(tmp_path / "gone").store(self.KEY, {"v": 4})
+        assert router._lookup(self.KEY) == ({"v": 4}, "disk")
+        assert router.shards["0"].stats.misses == 1
+
     def test_miss(self, tmp_path):
         router = ClusterRouter()
-        router.add_shard(ResultCache(tmp_path))
+        router.add_shard("0", ResultCache(tmp_path))
         with Fleet(0, router=router) as fleet:
             status, _, miss = fleet.raw("GET", f"/result/{self.KEY}")
             assert status == 404
@@ -281,7 +309,7 @@ class TestShards:
     def test_stats_shape(self, tmp_path):
         ResultCache(tmp_path).store(self.KEY, {"v": 1})
         router = ClusterRouter()
-        router.add_shard(ResultCache(tmp_path))
+        router.add_shard("0", ResultCache(tmp_path))
         with Fleet(0, router=router) as fleet:
             fleet.raw("GET", f"/result/{self.KEY}")
             fleet.raw("GET", f"/result/{self.KEY}")

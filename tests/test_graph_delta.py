@@ -11,6 +11,8 @@ from-scratch path produces.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_config
 from repro.core.simulator import (
@@ -186,6 +188,86 @@ class TestApplyDelta:
         assert np.array_equal(chained.indptr, stepped.indptr)
         assert np.array_equal(chained.indices, stepped.indices)
         assert chained.content_key == stepped.content_key
+
+
+def _set_reference(g: CSRGraph, delta: EdgeDelta, strict: bool):
+    """Set-based reference for ``apply_delta``: the mutated edge set, or
+    the strict-mode error text for the first offending edge (rows in
+    order; in a row, deletes are checked before inserts)."""
+    edges = set(_edge_set(g))
+    if strict:
+        for r in sorted({u for u, _ in delta.inserts + delta.deletes}):
+            absent = sorted(v for u, v in delta.deletes if u == r and (u, v) not in edges)
+            if absent:
+                return f"delete of absent edge ({r}, {absent[0]})"
+            kept = edges - set(delta.deletes)
+            present = sorted(v for u, v in delta.inserts if u == r and (u, v) in kept)
+            if present:
+                return f"insert of existing edge ({r}, {present[0]})"
+    return sorted((edges - set(delta.deletes)) | set(delta.inserts))
+
+
+#: The adversarial registry shapes at ~41 vertices, and power-law graphs.
+SHAPES = ("adv-star", "adv-bipartite", "adv-hubclique", "power-law")
+
+
+class TestApplyDeltaProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        seed=st.integers(0, 5),
+        strict=st.booleans(),
+        valid=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_set_reference_and_rebuild(self, shape, seed, strict, valid, data):
+        if shape == "power-law":
+            g = _graph(seed, n=41, m=160)
+        else:
+            g = load_dataset(shape, scale=0.01, seed=seed)
+        n = g.num_vertices
+        edges = _edge_set(g)
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        if valid:
+            deletes = data.draw(st.lists(st.sampled_from(edges), max_size=8))
+            present = set(edges)
+            inserts = [e for e in data.draw(st.lists(pair, max_size=8)) if e not in present]
+        else:
+            deletes = data.draw(st.lists(pair, max_size=8))
+            inserts = [e for e in data.draw(st.lists(pair, max_size=8)) if e not in deletes]
+        delta = EdgeDelta.make(inserts=inserts, deletes=deletes)
+        expected = _set_reference(g, delta, strict)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                apply_delta(g, delta, strict=strict)
+            assert str(info.value) == expected
+            return
+        child = apply_delta(g, delta, strict=strict)
+        assert _edge_set(child) == expected
+        rebuilt = from_edge_list(
+            n, expected, num_features=g.num_features,
+            feature_density=g.feature_density, name=child.name,
+        )
+        assert np.array_equal(child.indptr, rebuilt.indptr)
+        assert np.array_equal(child.indices, rebuilt.indices)
+        assert child.indices.dtype == np.int64
+        assert np.array_equal(child.row_digests, rebuilt.row_digests)
+        assert child.content_key == rebuilt.content_key
+
+    def test_first_offending_row_reports(self):
+        g = from_edge_list(4, [(0, 1), (1, 2)])
+        same_row = EdgeDelta.make(inserts=[(0, 1)], deletes=[(0, 3)])
+        with pytest.raises(ValueError, match=r"delete of absent edge \(0, 3\)"):
+            apply_delta(g, same_row)
+        insert_row_first = EdgeDelta.make(inserts=[(0, 1)], deletes=[(1, 3)])
+        with pytest.raises(ValueError, match=r"insert of existing edge \(0, 1\)"):
+            apply_delta(g, insert_row_first)
+
+    def test_out_of_range_names_the_first_edge(self):
+        g = from_edge_list(4, [(0, 1)])
+        delta = EdgeDelta.make(inserts=[(1, 2), (5, 0), (7, 1)], deletes=[(9, 9)])
+        with pytest.raises(ValueError, match=r"insert edge \(5, 0\) out of range for 4"):
+            apply_delta(g, delta)
 
 
 class TestDirtyTiles:

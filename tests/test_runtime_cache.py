@@ -26,6 +26,7 @@ class TestAccounting:
             "stores": 1,
             "invalidations": 0,
             "corrupt": 0,
+            "store_errors": 0,
         }
 
     def test_store_records_the_job(self, tmp_path):
@@ -413,3 +414,94 @@ class TestMemoryTier:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(cache_module._MEMORY) <= 4
+
+
+class TestStoreFailure:
+    """A write that fails (full disk, partial write) never fails a run."""
+
+    @staticmethod
+    def _fail_under(monkeypatch, root, where):
+        """Make ``mkstemp`` or ``os.replace`` raise ENOSPC below ``root``."""
+        import errno
+        import os
+        import tempfile
+
+        def enospc():
+            return OSError(errno.ENOSPC, "No space left on device")
+
+        if where == "mkstemp":
+            original = tempfile.mkstemp
+
+            def mkstemp(*args, dir=None, **kwargs):
+                if dir is not None and str(dir).startswith(str(root)):
+                    raise enospc()
+                return original(*args, dir=dir, **kwargs)
+
+            monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        else:
+            original = os.replace
+
+            def replace(src, dst, *args, **kwargs):
+                if str(dst).startswith(str(root)):
+                    raise enospc()
+                return original(src, dst, *args, **kwargs)
+
+            monkeypatch.setattr(os, "replace", replace)
+
+    @pytest.mark.parametrize("where", ["mkstemp", "replace"])
+    def test_store_returns_false_and_counts(self, where, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        assert cache.store(KEY, PAYLOAD) is True
+        self._fail_under(monkeypatch, tmp_path, where)
+        other = "cd" + "0" * 62
+        assert cache.store(other, PAYLOAD) is False
+        assert cache.stats.store_errors == 1
+        assert cache.stats.stores == 1
+        assert cache.stats.as_dict()["store_errors"] == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert cache.load(other) is None
+
+    def test_non_os_error_still_raises(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(TypeError):
+            cache.store(KEY, {"bad": object()})
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert cache.stats.store_errors == 0
+
+    @pytest.mark.parametrize("where", ["mkstemp", "replace"])
+    def test_jobs_survive_failed_result_tile_and_snapshot_stores(
+        self, where, tmp_path, monkeypatch
+    ):
+        """A base job and a delta job write results, tiles and a delta
+        base snapshot; every write fails, every job returns its result."""
+        from dataclasses import replace
+
+        from repro.config import default_config
+        from repro.graphs.datasets import clear_snapshot_cache, load_dataset
+        from repro.graphs.delta import rewire_delta
+        from repro.perf import PERF
+        from repro.runtime import run_jobs
+        from repro.runtime.jobs import ENV_TILE_CACHE_DIR, execute_job
+
+        base = SimJob(
+            dataset="cora", scale=0.2, hidden=8, num_layers=1,
+            config=default_config().scaled(array_k=8, pe_buffer_bytes=1024),
+        )
+        graph = load_dataset("cora", scale=0.2, seed=base.seed)
+        delta = replace(base, mutations=(rewire_delta(graph, [0, 1], seed=2),))
+        expected = [execute_job(job) for job in (base, delta)]
+
+        monkeypatch.setenv(ENV_TILE_CACHE_DIR, str(tmp_path / "tiles"))
+        self._fail_under(monkeypatch, tmp_path, where)
+        clear_snapshot_cache()  # the delta's base load consults the store
+        clear_memory_tier()
+        cache = ResultCache(tmp_path / "results")
+        misses = PERF.counters.get("graphs.snapshot_miss", 0)
+        report = run_jobs([delta, base], cache=cache)
+        assert PERF.counters.get("graphs.snapshot_miss", 0) == misses + 1
+        assert report.metrics.errors == 0
+        assert [o.result.to_dict() for o in report.outcomes] == expected[::-1]
+        assert cache.stats.store_errors == 2
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert list(tmp_path.rglob("*.json")) == []
+        clear_snapshot_cache()

@@ -20,7 +20,8 @@ from repro.models.workload import LayerDims
 from repro.models.zoo import get_model
 from repro.perf import PERF
 from repro.runtime.cache import ResultCache, clear_memory_tier
-from repro.runtime.shards import run_tile_shards, tile_sub_key
+from repro.runtime import shards
+from repro.runtime.shards import run_tile_shards, tile_sub_key, tile_sub_keys
 
 TILE_COUNTERS = ("tiles.cache_hit", "tiles.memo_hit", "tiles.cache_miss")
 
@@ -143,6 +144,64 @@ class TestAnalyticalCacheIdentity:
             assert json.dumps(warm.to_dict(), sort_keys=True) == ref
         assert cache.stats.memory_hits - memory_hits == uncached.num_tiles
         assert json.dumps(cold.to_dict(), sort_keys=True) == ref
+
+
+class TestTileSubKeys:
+    """A layer's keys, serialised once per layer, equal ``tile_sub_key``
+    of each tile's full dict: warm caches stay valid."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+
+        def spy(kind, context, tiles):
+            keys = tile_sub_keys(kind, context, tiles)
+            calls.append((kind, context, tiles, keys))
+            return keys
+
+        monkeypatch.setattr(shards, "tile_sub_keys", spy)
+        return calls
+
+    def _check(self, calls, kind):
+        (got_kind, context, tiles, keys), = calls
+        assert got_kind == kind
+        assert len(tiles) > 1
+        assert keys == [
+            tile_sub_key(kind, {**context, **parts}) for parts in tiles
+        ]
+        assert len(set(keys)) == len(keys)
+
+    def test_analytical_layer(self, monkeypatch, tmp_path):
+        calls = self._spy(monkeypatch)
+        g = _graph(3)
+        cfg = AcceleratorConfig(array_k=4, pe_buffer_bytes=2048)
+        sim = AuroraSimulator(cfg, tile_cache=ResultCache(tmp_path))
+        sim.simulate_layer(get_model("gcn"), g, LayerDims(g.num_features, 8))
+        self._check(calls, "analytical-tile")
+        assert sorted(calls[0][2][0]) == ["boundary", "graph"]
+
+    def test_cycle_layer(self, monkeypatch, tmp_path):
+        calls = self._spy(monkeypatch)
+        g = power_law_graph(240, 900, num_features=16, seed=7, name="keys")
+        cfg = AcceleratorConfig(array_k=8, noc=NoCConfig())
+        run_cycle_layer(
+            get_model("gcn"), tile_graph(g, 40_000), LayerDims(16, 16),
+            config=cfg, cache=ResultCache(tmp_path),
+        )
+        self._check(calls, "cycle-tile")
+
+    def test_nested_and_unicode_values(self):
+        context = {"z": {"b": [1, 2.5], "a": "ü"}, "a": None, "m": True}
+        tiles = [{"graph": "k1", "n": [3, {"y": 1, "x": 2}]}, {"graph": "k2", "n": []}]
+        assert tile_sub_keys("t", context, tiles) == [
+            tile_sub_key("t", {**context, **parts}) for parts in tiles
+        ]
+        assert tile_sub_keys("t", context, []) == []
+
+    def test_field_clash_rejected(self):
+        with pytest.raises(ValueError):
+            tile_sub_keys("t", {"graph": 1}, [{"graph": 2}])
+        with pytest.raises(ValueError):
+            tile_sub_keys("t", {}, [{"graph": 1}, {"graph": 2, "extra": 3}])
 
 
 #: Engine names that are not registered: a typo and the removed engines.
