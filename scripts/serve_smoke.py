@@ -95,6 +95,10 @@ def main() -> int:
                 stats["batcher"]["jobs_run"] <= 1 + stats["cache"]["hits"],
                 "concurrent identical requests ran once",
             )
+            check(
+                stats["tile_cache"]["stats"]["stores"] >= 1,
+                "/stats counts the cold request's tile stores",
+            )
 
             # Warm request: a cache hit answered before the batch window
             # (no batch runs), and fast.

@@ -16,6 +16,7 @@ Quickstart::
     print(result.total_seconds, result.energy.total)
 """
 
+from .arrays import keep_large_temporaries_on_heap
 from .baselines import (
     AWBGCN,
     BASELINE_CLASSES,
@@ -73,6 +74,8 @@ from .runtime import (
 )
 
 __version__ = "1.0.0"
+
+keep_large_temporaries_on_heap()
 
 __all__ = [
     "__version__",

@@ -6,13 +6,34 @@ the simulator groups (int64, tens of thousands per layer) one
 ``np.sort`` plus a neighbour-inequality mask returns the same values
 several times faster.  Every grouping on the analytical traffic path
 goes through these helpers.
+
+The module also holds the glibc allocator setting that ``import repro``
+applies, so that path's multi-MiB array temporaries stay on the heap.
 """
 
 from __future__ import annotations
 
+import ctypes
+import sys
+
 import numpy as np
 
-__all__ = ["run_starts", "sorted_unique", "group_sum"]
+__all__ = [
+    "run_starts",
+    "sorted_unique",
+    "group_sum",
+    "keep_large_temporaries_on_heap",
+]
+
+# glibc ``mallopt`` parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+#: Largest block glibc serves from the heap instead of a fresh mapping,
+#: and the free heap top it keeps instead of trimming.  A design-search
+#: evaluation allocates array temporaries of up to several MiB per layer.
+_HEAP_BLOCK_MAX = 8 << 20
+_HEAP_TRIM = 16 << 20
 
 
 def _first_of_run(sorted_keys: np.ndarray) -> np.ndarray:
@@ -42,3 +63,30 @@ def group_sum(
     keys = keys[order]
     starts = run_starts(keys)
     return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def keep_large_temporaries_on_heap() -> bool:
+    """Serve array temporaries of up to 8 MiB from the glibc heap.
+
+    glibc maps a block at or above its mmap threshold (128 KiB at start)
+    afresh and unmaps it on free, so each such temporary faults its
+    pages in again.  The threshold only rises when a larger mapped block
+    is freed, which made the analytical path's speed depend on what the
+    process happened to free first: five design-search passes on
+    pubmed@0.5 took ~100k minor faults at the default against ~1.8k once
+    a multi-MiB block had been freed.  Fixing both thresholds makes that
+    state explicit.  Returns whether glibc accepted them; elsewhere it
+    does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_BLOCK_MAX)
+        and mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM)
+    )

@@ -1007,7 +1007,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .runtime.cache import ResultCache
+    from .runtime.cache import ResultCache, shared_cache
     from .serve.server import SimulationService, serve_forever
     from .telemetry import TRACER
 
@@ -1021,7 +1021,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.cache:
         cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
         # Per-tile sub-cache lives beside the job cache; the env var is
-        # how the job runner finds it.
+        # how the job runner finds it, and both hold the root's one
+        # shared cache, so /stats counts what the jobs did.
         import os
         from pathlib import Path
 
@@ -1029,7 +1030,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         tiles_root = Path(cache.root) / "tiles"
         os.environ[ENV_TILE_CACHE_DIR] = str(tiles_root)
-        tile_cache = ResultCache(root=tiles_root)
+        tile_cache = shared_cache(tiles_root)
     observe = None
     if args.observe or args.observe_record:
         from .observe import ObserveState

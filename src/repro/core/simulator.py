@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,34 +80,46 @@ def clear_partition_sample_cache() -> None:
     _SAMPLE_STATS.clear()
 
 
-def _placement_positions(verts: np.ndarray, k: int, n: int) -> np.ndarray:
-    """PE positions of ``verts`` under every candidate A-row count.
+@lru_cache(maxsize=8)
+def _placement_tables(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-slot PE coordinates under every candidate A-row count.
 
-    Returns a ``(k - 1, verts.size)`` matrix whose row ``i`` places each
-    vertex on the ``(i + 1)``-row region A under the mapper's Z-order
-    sequential fill — the placement model the partition scan scores.
+    Entry ``i`` holds ``(x, y)`` tables over the ``(i + 1) * k`` slots of
+    the ``(i + 1)``-row region A, in the mapper's Z-order sequential
+    fill — the placement model the partition scan scores.  Coordinates
+    are int16 unless a hop count (at most ``2 * (k - 1)``) could
+    overflow it.
     """
-    rows_arr = np.arange(1, k, dtype=np.int64)
-    a_arr = rows_arr * k
-    orders = np.zeros((k - 1, k * k), dtype=np.int32)
-    for i, rows in enumerate(rows_arr):
-        region_rows = PERegion(0, 0, k, int(rows), k)
-        orders[i, : int(rows) * k] = np.asarray(
-            _zorder_nodes_cached(region_rows), dtype=np.int32
-        )
-    flat = orders.ravel()
-    offs = (np.arange(k - 1, dtype=np.int64) * (k * k))[:, None]
-    vpp = np.maximum(1, -(-n // a_arr))
-    cap_idx = (a_arr - 1)[:, None]
-    return flat[np.minimum(verts[None, :] // vpp[:, None], cap_idx) + offs]
+    dtype = np.int16 if k < 1 << 14 else np.int32
+    tables = []
+    for rows in range(1, k):
+        order = np.asarray(_zorder_nodes_cached(PERegion(0, 0, k, rows, k)))
+        tables.append(((order % k).astype(dtype), (order // k).astype(dtype)))
+    return tuple(tables)
 
 
-def _remote_and_hops(
-    ps: np.ndarray, pd: np.ndarray, k: int
+def _placement_scores(
+    src: np.ndarray, dst: np.ndarray, k: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    remote = ps != pd
-    hops = np.abs(ps % k - pd % k) + np.abs(ps // k - pd // k)
-    return remote, hops
+    """Per-candidate ``(remote count, hop sum)`` of the ``src -> dst``
+    vertex pairs.
+
+    Candidate ``i`` fills ``vpp = ceil(n / a)`` vertices per slot of its
+    ``a = (i + 1) * k``-slot region; ``(n - 1) // vpp <= a - 1``, so every
+    vertex id indexes a slot.  A pair is remote exactly when its hop
+    count is non-zero: both ends on one PE.
+    """
+    rcount = np.zeros(k - 1, dtype=np.int64)
+    hsum = np.zeros(k - 1, dtype=np.int64)
+    for i, (xs, ys) in enumerate(_placement_tables(k)):
+        vpp = max(1, -(-n // xs.size))
+        slot_s = src // vpp
+        slot_d = dst // vpp
+        hops = np.abs(xs.take(slot_s) - xs.take(slot_d))
+        hops += np.abs(ys.take(slot_s) - ys.take(slot_d))
+        rcount[i] = np.count_nonzero(hops)
+        hsum[i] = hops.sum(dtype=np.int64)
+    return rcount, hsum
 
 
 def _tile_outcome(
@@ -384,21 +397,15 @@ class AuroraSimulator:
             hsum = parent["hsum"].copy()
             changed = np.nonzero(dst != parent["dst"])[0]
             if changed.size:
-                ps = _placement_positions(src[changed], k, n)
-                pd_old = _placement_positions(parent["dst"][changed], k, n)
-                pd_new = _placement_positions(dst[changed], k, n)
-                remote_old, hops_old = _remote_and_hops(ps, pd_old, k)
-                remote_new, hops_new = _remote_and_hops(ps, pd_new, k)
-                rcount += remote_new.sum(axis=1) - remote_old.sum(axis=1)
-                hsum += np.where(remote_new, hops_new, 0).sum(axis=1)
-                hsum -= np.where(remote_old, hops_old, 0).sum(axis=1)
+                r_new, h_new = _placement_scores(src[changed], dst[changed], k, n)
+                r_old, h_old = _placement_scores(
+                    src[changed], parent["dst"][changed], k, n
+                )
+                rcount += r_new - r_old
+                hsum += h_new - h_old
         else:
             PERF.incr("partition.sample_full")
-            ps = _placement_positions(src, k, n)
-            pd = _placement_positions(dst, k, n)
-            remote, hops = _remote_and_hops(ps, pd, k)
-            rcount = remote.sum(axis=1)
-            hsum = np.where(remote, hops, 0).sum(axis=1)
+            rcount, hsum = _placement_scores(src, dst, k, n)
         avg_hops = np.where(rcount > 0, hsum / np.maximum(rcount, 1), 0.0)
         remote_frac = np.where(rcount > 0, rcount / src.size, 0.0)
         _SAMPLE_STATS[key] = {

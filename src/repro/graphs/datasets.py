@@ -14,6 +14,7 @@ cycle-tier simulator needs for tractable runs.  The analytical tier uses
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import operator
@@ -44,15 +45,15 @@ __all__ = [
 
 #: Process-local snapshot memo bound: repeated loads of the same
 #: ``(name, scale, seed)`` reuse one immutable snapshot.  Synthesis is
-#: still the dominant cost of a load (pubmed at scale 0.5 ~0.23 s, the
-#: five paper datasets at their sweep scales ~0.6 s on a 2-vCPU x86
+#: still the dominant cost of a load (pubmed at scale 0.5 ~0.17 s, the
+#: five paper datasets at their sweep scales ~0.47 s on a 2-vCPU x86
 #: container), while a design-search evaluation, which loads its graph
-#: through :func:`repro.runtime.jobs.run_job`, costs ~35 ms.  Serve
+#: through :func:`repro.runtime.jobs.run_job`, costs ~13 ms.  Serve
 #: requests load through it too.  Small: full-scale graphs are large.
 #: A delta base outlives its memo entry: the job runner passes the
 #: per-tile result cache as ``store``, which keeps the synthesised
 #: snapshot on disk (see :func:`load_dataset`), so a base evicted by
-#: other graphs is read back (~9 ms for pubmed@0.5) instead of
+#: other graphs is read back (~3 ms for pubmed@0.5) instead of
 #: re-synthesised.
 SNAPSHOT_CACHE_MAX = 4
 
@@ -258,14 +259,28 @@ def dataset_profile(name: str) -> DatasetProfile:
 
 def _snapshot_key(memo_key: tuple) -> str:
     """The store key of one memo key's snapshot entry."""
-    blob = json.dumps(["dataset-snapshot", 1, *memo_key], separators=(",", ":"))
+    blob = json.dumps(["dataset-snapshot", 2, *memo_key], separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _encode_ints(values: np.ndarray) -> str:
+    """Base64 of ``values`` as little-endian int64: a memory tier that
+    keeps the decoded entry holds one string, not a list of Python ints."""
+    return base64.b64encode(values.astype("<i8").tobytes()).decode("ascii")
+
+
+def _decode_ints(text) -> np.ndarray:
+    """The int64 array :func:`_encode_ints` wrote.  Raises ``ValueError``
+    (``binascii.Error`` included) for bad base64 or a byte count that is
+    not a whole number of int64s, ``TypeError`` for a non-string."""
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype="<i8").astype(np.int64)
 
 
 def _snapshot_entry(graph: CSRGraph) -> dict:
     return {
-        "indptr": graph.indptr.tolist(),
-        "indices": graph.indices.tolist(),
+        "indptr": _encode_ints(graph.indptr),
+        "indices": _encode_ints(graph.indices),
         "num_features": graph.num_features,
         "feature_density": graph.feature_density,
         "edge_feature_dim": graph.edge_feature_dim,
@@ -279,8 +294,8 @@ def _snapshot_graph(entry: dict) -> CSRGraph | None:
     malformed, or rebuilt to a different ``content_key``."""
     try:
         graph = CSRGraph(
-            np.asarray(entry["indptr"], dtype=np.int64),
-            np.asarray(entry["indices"], dtype=np.int64),
+            _decode_ints(entry["indptr"]),
+            _decode_ints(entry["indices"]),
             num_features=entry["num_features"],
             feature_density=entry["feature_density"],
             edge_feature_dim=entry["edge_feature_dim"],

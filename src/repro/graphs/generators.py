@@ -91,6 +91,65 @@ def _sample_power_law_degrees(
 #: at most one round; the bound only stops degenerate CDFs from spinning.
 _TOP_UP_ROUNDS = 64
 
+#: Rows of at most this many neighbours are built from Python ints (set
+#: and ``sorted`` over ``.tolist()`` draws, list shuffles); longer rows
+#: keep ndarray ops, whose fixed per-call cost their length amortises.
+#: Timed per row on pubmed- and reddit-like CDFs, the two forms cross
+#: between 8 and 16 neighbours (docs/performance.md).
+_LIST_ROW_MAX = 12
+
+
+def _uniform_fill(
+    rng: np.random.Generator, nbrs, d: int, num_vertices: int
+) -> np.ndarray:
+    """``d - len(nbrs)`` distinct vertices outside the sorted ``nbrs``.
+
+    The CDF mass sits on a few vertices (sparse budgets, heavy tails):
+    the rest of the row is drawn uniformly from the vertices not yet
+    chosen instead of spinning.
+    """
+    rest = np.setdiff1d(
+        np.arange(num_vertices), np.asarray(nbrs, dtype=np.int64), assume_unique=True
+    )
+    return rng.choice(rest, d - len(nbrs), replace=False)
+
+
+def _array_row(
+    rng: np.random.Generator,
+    cdf: np.ndarray,
+    v: int,
+    d: int,
+    n_local: int,
+    n_global: int,
+    n_glob: int,
+    window: int,
+    num_vertices: int,
+) -> np.ndarray:
+    """One long row of :func:`power_law_graph`, built with ndarray ops.
+
+    Makes the same generator calls, with the same sizes and in the same
+    order, as the Python-int path of the row loop.
+    """
+    local = sorted_unique(
+        rng.integers(v - window, v + window + 1, size=4 * n_local + 4)
+        % num_vertices
+    )
+    rng.shuffle(local)
+    glob = sorted_unique(cdf.searchsorted(rng.random(n_glob), side="right"))
+    rng.shuffle(glob)
+    nbrs = sorted_unique(np.concatenate((local[:n_local], glob[:n_global])))
+    rounds = 0
+    while nbrs.size < d and rounds < _TOP_UP_ROUNDS:
+        extra = cdf.searchsorted(rng.random(2 * d), side="right")
+        nbrs = sorted_unique(np.concatenate((nbrs, extra)))
+        rounds += 1
+    if nbrs.size < d:
+        nbrs = np.concatenate((nbrs, _uniform_fill(rng, nbrs, d, num_vertices)))
+    rng.shuffle(nbrs)
+    nbrs = nbrs[:d]
+    nbrs.sort()
+    return nbrs
+
 
 def power_law_graph(
     num_vertices: int,
@@ -117,6 +176,16 @@ def power_law_graph(
     are numbered in crawl/community order; locality-preserving mappings
     (sequential fill) exploit it, hashing mappings destroy it — which is
     part of what the paper's mapping comparison measures.
+
+    Rows are drawn vertex by vertex.  A row of at most
+    ``_LIST_ROW_MAX`` neighbours (most rows of the registry graphs) is
+    built from Python ints: ``set``/``sorted`` over ``.tolist()`` draws
+    and shuffles of lists, which skip the fixed per-call cost of small
+    ndarray ops; a longer row keeps the ndarray ops, whose cost its
+    length amortises.  Both make the same Generator calls with the same
+    sizes in the same order (a list shuffle draws what an int64-array
+    shuffle of its length draws), so the graph does not depend on the
+    split.
     """
     if num_vertices <= 0:
         raise ValueError("num_vertices must be positive")
@@ -163,51 +232,57 @@ def power_law_graph(
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     indices = np.empty(num_edges, dtype=np.int64)
-    start = 0
-    for v, d in enumerate(degrees.tolist()):
-        if d == 0:
-            continue
+    # Per-vertex local/global split and global draw size, for every
+    # vertex at once (``np.round`` ties to even, like ``round``).
+    rows = np.flatnonzero(degrees)
+    row_degrees = degrees[rows]
+    n_locals = np.round(row_degrees * locality).astype(np.int64)
+    n_globals = row_degrees - n_locals
+    glob_draws = np.minimum(4 * n_globals + 8, num_vertices * 2)
+    integers, random, shuffle = rng.integers, rng.random, rng.shuffle
+    searchsorted = cdf.searchsorted
+    for v, d, n_local, n_global, n_glob, start in zip(
+        rows.tolist(),
+        row_degrees.tolist(),
+        n_locals.tolist(),
+        n_globals.tolist(),
+        glob_draws.tolist(),
+        indptr[rows].tolist(),
+    ):
         if d >= num_vertices:
-            nbrs = np.arange(num_vertices, dtype=np.int64)
-        else:
-            n_local = int(round(d * locality))
-            n_global = d - n_local
-            # Local edges: a window around the source id (community order).
-            local = sorted_unique(
-                rng.integers(v - window, v + window + 1, size=4 * n_local + 4)
-                % num_vertices
+            indices[start : start + d] = np.arange(num_vertices, dtype=np.int64)
+            continue
+        if d > _LIST_ROW_MAX:
+            indices[start : start + d] = _array_row(
+                rng, cdf, v, d, n_local, n_global, n_glob, window, num_vertices
             )
-            rng.shuffle(local)
-            # Global edges: preferential attachment to the hubs.
-            glob = sorted_unique(
-                cdf.searchsorted(
-                    rng.random(min(4 * n_global + 8, num_vertices * 2)), side="right"
-                )
-            )
-            rng.shuffle(glob)
-            nbrs = sorted_unique(
-                np.concatenate((local[:n_local], glob[:n_global]))
-            )
-            rounds = 0
-            while nbrs.size < d and rounds < _TOP_UP_ROUNDS:
-                extra = cdf.searchsorted(rng.random(2 * d), side="right")
-                nbrs = sorted_unique(np.concatenate((nbrs, extra)))
-                rounds += 1
-            if nbrs.size < d:
-                # The CDF mass sits on a few vertices (sparse budgets,
-                # heavy tails): draw the rest uniformly from the vertices
-                # not yet chosen instead of spinning.
-                rest = np.setdiff1d(
-                    np.arange(num_vertices), nbrs, assume_unique=True
-                )
-                nbrs = np.concatenate(
-                    (nbrs, rng.choice(rest, d - nbrs.size, replace=False))
-                )
-            rng.shuffle(nbrs)
-            nbrs = nbrs[:d]
-            nbrs.sort()
+            continue
+        # Local edges: a window around the source id (community order).
+        local = sorted(
+            {
+                u % num_vertices
+                for u in integers(
+                    v - window, v + window + 1, size=4 * n_local + 4
+                ).tolist()
+            }
+        )
+        shuffle(local)
+        # Global edges: preferential attachment to the hubs.
+        glob = sorted(set(searchsorted(random(n_glob), side="right").tolist()))
+        shuffle(glob)
+        chosen = set(local[:n_local])
+        chosen.update(glob[:n_global])
+        rounds = 0
+        while len(chosen) < d and rounds < _TOP_UP_ROUNDS:
+            chosen.update(searchsorted(random(2 * d), side="right").tolist())
+            rounds += 1
+        nbrs = sorted(chosen)
+        if len(nbrs) < d:
+            nbrs += _uniform_fill(rng, nbrs, d, num_vertices).tolist()
+        shuffle(nbrs)
+        nbrs = nbrs[:d]
+        nbrs.sort()
         indices[start : start + d] = nbrs
-        start += d
     return CSRGraph(
         indptr,
         indices,

@@ -41,6 +41,7 @@ __all__ = [
     "code_fingerprint",
     "as_cache",
     "clear_memory_tier",
+    "shared_cache",
 ]
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -84,7 +85,12 @@ def code_fingerprint() -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/invalidation accounting for one cache instance."""
+    """Hit/miss/invalidation accounting for one cache instance.
+
+    Counters move through :meth:`add`, under a lock: one cache is read
+    and written by a service's event loop, its batch thread and its
+    search threads at once, and a bare ``+=`` can lose an update.
+    """
 
     hits: int = 0
     memory_hits: int = 0  # the hits the memory tier served
@@ -93,6 +99,15 @@ class CacheStats:
     invalidations: int = 0  # fingerprint mismatches evicted
     corrupt: int = 0  # undecodable blobs evicted
     store_errors: int = 0  # writes that failed with an OSError
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def add(self, *names: str, n: int = 1) -> None:
+        """Add ``n`` to each named counter."""
+        with self._lock:
+            for name in names:
+                setattr(self, name, getattr(self, name) + n)
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -137,36 +152,32 @@ class ResultCache:
             if result is not None:
                 _MEMORY.move_to_end(memory_key)
         if result is not None:
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
+            self.stats.add("hits", "memory_hits")
             return result
         path = self.path_for(key)
         try:
             raw = path.read_text()
         except OSError:
-            self.stats.misses += 1
+            self.stats.add("misses")
             return None
         except UnicodeDecodeError:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
+            self.stats.add("corrupt", "misses")
             self._evict(path)
             return None
         try:
             blob = json.loads(raw)
             if blob["fingerprint"] != self.fingerprint:
-                self.stats.invalidations += 1
-                self.stats.misses += 1
+                self.stats.add("invalidations", "misses")
                 self._evict(path)
                 return None
             result = blob["result"]
             if not isinstance(result, dict):
                 raise TypeError("result blob is not a dict")
         except (json.JSONDecodeError, KeyError, TypeError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
+            self.stats.add("corrupt", "misses")
             self._evict(path)
             return None
-        self.stats.hits += 1
+        self.stats.add("hits")
         with _MEMORY_LOCK:
             _MEMORY[memory_key] = result
             while len(_MEMORY) > MEMORY_TIER_MAX:
@@ -209,9 +220,9 @@ class ResultCache:
                     pass
             if not isinstance(exc, OSError):
                 raise
-            self.stats.store_errors += 1
+            self.stats.add("store_errors")
             return False
-        self.stats.stores += 1
+        self.stats.add("stores")
         return True
 
     # ------------------------------------------------------------------
@@ -318,6 +329,27 @@ class ResultCache:
             path.unlink()
         except OSError:
             pass
+
+
+_SHARED: dict[str, ResultCache] = {}
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_cache(root) -> ResultCache:
+    """The process's one :class:`ResultCache` at ``root``.
+
+    Separate instances at one root share its blobs and the memory tier
+    but not their counters: the job runner's per-tile cache and the
+    service that reports it in ``/stats`` both take it from here, so
+    what the jobs count is what ``/stats`` shows.  One entry per root a
+    process ever names.
+    """
+    key = str(Path(root))
+    with _SHARED_LOCK:
+        cache = _SHARED.get(key)
+        if cache is None:
+            cache = _SHARED[key] = ResultCache(root=key)
+        return cache
 
 
 def as_cache(cache: "ResultCache | bool | None") -> ResultCache | None:

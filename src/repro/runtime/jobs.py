@@ -269,13 +269,14 @@ def take_exec_meta() -> dict | None:
 
 
 def _tile_cache():
-    """The per-tile result cache named by the environment, if any."""
+    """The per-tile result cache named by the environment, if any: the
+    process's one cache at that root, whose counters ``/stats`` reads."""
     root = os.environ.get(ENV_TILE_CACHE_DIR)
     if not root:
         return None
-    from .cache import ResultCache
+    from .cache import shared_cache
 
-    return ResultCache(root=root)
+    return shared_cache(root)
 
 
 def run_job(job: SimJob) -> SimulationResult:

@@ -129,7 +129,7 @@ class JobBatcher:
             outcome = cached_outcome(self.cache, key, job)
             probe.set(hits=int(outcome is not None))
         if outcome is None:
-            self.cache.stats.misses -= 1
+            self.cache.stats.add("misses", n=-1)
         else:
             PERF.incr("runtime.cache_hit")
         return outcome

@@ -17,6 +17,7 @@ banned there too.
 
 import ast
 import inspect
+import platform
 import textwrap
 
 import pytest
@@ -120,3 +121,12 @@ def test_detector_sees_each_second_sort():
         b = sorted_unique(a)
     """
     assert second_sorts(source) == {"argsort", "lexsort", "group_sum"}
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="sets glibc allocator thresholds"
+)
+def test_glibc_takes_the_heap_thresholds():
+    """``import repro`` keeps multi-MiB array temporaries on the heap;
+    glibc's ``mallopt`` must accept both thresholds."""
+    assert arrays.keep_large_temporaries_on_heap()

@@ -416,6 +416,56 @@ class TestMemoryTier:
         assert len(cache_module._MEMORY) <= 4
 
 
+
+class TestSharedCache:
+    def test_one_instance_per_root(self, tmp_path):
+        from repro.runtime.cache import shared_cache
+
+        a = shared_cache(tmp_path / "tiles")
+        assert shared_cache(str(tmp_path / "tiles")) is a
+        assert shared_cache(tmp_path / "other") is not a
+        assert a.root == tmp_path / "tiles"
+
+    def test_concurrent_counters_lose_no_update(self, tmp_path):
+        """Memory-tier hits from more threads than cores, switching
+        often, all land in the one cache's counters."""
+        import sys
+
+        from repro.runtime.cache import shared_cache
+
+        cache = shared_cache(tmp_path)
+        workers, rounds = 8, 20_000
+        clear_memory_tier()
+        keys = [f"{w:064x}" for w in range(workers)]
+        for key in keys:
+            cache.store(key, {"key": key})
+            cache.load(key)  # a disk hit fills the memory tier
+
+        def pump(w):
+            def run():
+                for _ in range(rounds):
+                    cache.load(keys[w])
+
+            return run
+
+        threads = [threading.Thread(target=pump(w)) for w in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats.as_dict()
+        assert stats["stores"] == workers
+        assert stats["hits"] == workers + workers * rounds
+        assert stats["memory_hits"] == workers * rounds
+        clear_memory_tier()
+
+
 class TestStoreFailure:
     """A write that fails (full disk, partial write) never fails a run."""
 

@@ -10,6 +10,7 @@ writes a snapshot, and a served delta whose base was evicted runs
 without calling the generator.
 """
 
+import base64
 import json
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from repro.graphs.datasets import (
 )
 from repro.graphs.delta import rewire_delta
 from repro.runtime import ResultCache, SimJob
-from repro.runtime.cache import clear_memory_tier
+from repro.runtime.cache import clear_memory_tier, shared_cache
 from repro.runtime.jobs import ENV_TILE_CACHE_DIR, execute_job
 from repro.serve.client import ServeClient
 from repro.serve.server import ServerThread, SimulationService
@@ -65,6 +66,15 @@ def cold_graphs():
     clear_memory_tier()
 
 
+def _ints(text):
+    """A stored base64 little-endian int64 array, decoded."""
+    return np.frombuffer(base64.b64decode(text), dtype="<i8").copy()
+
+
+def _b64(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
 def _result(payload):
     """A job payload without its tile counters."""
     return {k: v for k, v in payload.items() if k != "_exec"}
@@ -85,6 +95,8 @@ def test_stored_snapshot_rebuilds_the_synthesised_graph(name, tmp_path, cold_gra
     clear_snapshot_cache()
     assert load_dataset(name, scale=scale, seed=3, store=store) is not synthesised
     assert store.stats.stores == 1
+    entry = json.loads(store.entries()[0].read_text())["result"]
+    assert isinstance(entry["indptr"], str) and isinstance(entry["indices"], str)
     clear_snapshot_cache()
     clear_memory_tier()
     loaded = load_dataset(name, scale=scale, seed=3, store=store)
@@ -132,7 +144,17 @@ class TestDeltaJobs:
         assert from_store == synthesised
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "garbage", "stale", "content_key", "malformed"]
+        "damage",
+        [
+            "truncated",
+            "garbage",
+            "stale",
+            "content_key",
+            "malformed",
+            "bad_base64",
+            "wrong_length",
+            "ragged_bytes",
+        ],
     )
     def test_damaged_entry_is_resynthesised(self, damage, tmp_path, monkeypatch, cold_graphs):
         delta_job, reference = self._reference(tmp_path, monkeypatch)
@@ -147,11 +169,24 @@ class TestDeltaJobs:
             blob["fingerprint"] = "0" * 16
             path.write_text(json.dumps(blob))
         elif damage == "content_key":
-            indices = blob["result"]["indices"]
-            indices[0] = (indices[0] + 1) % len(blob["result"]["indptr"][:-1])
+            indices = _ints(blob["result"]["indices"])
+            num_vertices = _ints(blob["result"]["indptr"]).size - 1
+            indices[0] = (indices[0] + 1) % num_vertices
+            blob["result"]["indices"] = _b64(indices.tobytes())
+            path.write_text(json.dumps(blob))
+        elif damage == "malformed":
+            del blob["result"]["indices"]
+            path.write_text(json.dumps(blob))
+        elif damage == "bad_base64":
+            blob["result"]["indices"] = "not*base64!"
+            path.write_text(json.dumps(blob))
+        elif damage == "wrong_length":
+            # Whole int64s, one fewer than ``indptr`` promises.
+            blob["result"]["indices"] = _b64(_ints(blob["result"]["indices"])[:-1].tobytes())
             path.write_text(json.dumps(blob))
         else:
-            del blob["result"]["indices"]
+            raw = base64.b64decode(blob["result"]["indptr"])
+            blob["result"]["indptr"] = _b64(raw + b"\x00\x00\x00")
             path.write_text(json.dumps(blob))
         clear_snapshot_cache()
         clear_memory_tier()
@@ -212,3 +247,28 @@ def test_served_delta_after_eviction_skips_synthesis(tmp_path, monkeypatch, cold
         second = client.simulate(delta_request(2))
         assert second["cached"] is False
         assert second["tiles_reused"] > 0
+
+
+def test_stats_count_what_the_jobs_did(tmp_path, monkeypatch, cold_graphs):
+    """The service's ``/stats`` tile cache is the one its jobs read and
+    write: a cold request stores tiles, a delta on it hits them."""
+    root = tmp_path / "tiles"
+    monkeypatch.setenv(ENV_TILE_CACHE_DIR, str(root))
+    service = SimulationService(
+        cache=ResultCache(tmp_path / "results"),
+        tile_cache=shared_cache(root),
+        batch_window=0.0,
+    )
+    base = {k: v for k, v in BASE.as_dict().items() if k != "mutations"}
+    graph = load_dataset(BASE.dataset, scale=BASE.scale, seed=BASE.seed)
+    delta = rewire_delta(graph, [0, 1], seed=1)
+    with ServerThread(service) as thread:
+        client = ServeClient(*thread.address, timeout=60.0)
+        client.simulate(base)
+        cold = client.stats()["tile_cache"]["stats"]
+        assert cold["stores"] > 0
+        assert cold["hits"] == 0
+        client.simulate({"base": base, "mutations": [delta.as_dict()]})
+        after = client.stats()["tile_cache"]["stats"]
+        assert after["hits"] > 0
+        assert after["stores"] > cold["stores"]
