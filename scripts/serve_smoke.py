@@ -2,7 +2,8 @@
 
 Boots the real server as a subprocess, drives it with the resilient
 client — concurrent cold requests (single-flight), a warm cache hit
-with a latency bound that runs no batch, overload shedding — exports the request traces as a
+with a latency bound that runs no batch, 200 sequential warm hits over
+one dialed connection, overload shedding — exports the request traces as a
 Chrome ``trace.json`` (validated: well-formed events, at least one
 complete request tree), then checks the SIGTERM drain contract and
 writes the final ``/stats`` snapshot to SERVE_STATS.json.  Both JSON
@@ -40,6 +41,7 @@ from repro.telemetry.export import (  # noqa: E402
 from repro.telemetry.trace import Span  # noqa: E402
 
 SMALL = {"dataset": "cora", "scale": 0.2, "hidden": 16, "layers": 1}
+WARM_LOOP = 200
 WARM_LATENCY_BUDGET = 2.0  # generous for shared CI runners
 DRAIN_TIMEOUT = 10.0  # the server's --drain-timeout
 
@@ -49,6 +51,16 @@ def check(condition: bool, label: str) -> None:
     print(f"smoke: {label}: {status}", flush=True)
     if not condition:
         raise SystemExit(f"smoke check failed: {label}")
+
+
+class DialCountingClient(ServeClient):
+    """A ``ServeClient`` that counts the connections it dials."""
+
+    dials = 0
+
+    def _dial(self, timeout):
+        self.dials += 1
+        return super()._dial(timeout)
 
 
 def boot(cache_dir: str) -> tuple[subprocess.Popen, int]:
@@ -116,6 +128,20 @@ def main() -> int:
                 warm_latency < WARM_LATENCY_BUDGET,
                 f"warm latency {warm_latency:.3f}s < {WARM_LATENCY_BUDGET}s",
             )
+
+            # A closed loop of warm hits: every one a cache hit, all
+            # over the one connection the client dialed first.
+            looper = DialCountingClient("127.0.0.1", port, timeout=60.0)
+            cached = sum(
+                looper.simulate(SMALL)["cached"] is True
+                for _ in range(WARM_LOOP)
+            )
+            check(cached == WARM_LOOP, f"{cached}/{WARM_LOOP} warm loop hits cached")
+            check(
+                looper.dials == 1,
+                f"warm loop dialed once ({looper.dials} dials)",
+            )
+            looper.close()
 
             # Distinct cold requests all land (retries absorb any sheds).
             with ThreadPoolExecutor(8) as pool:

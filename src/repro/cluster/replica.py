@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..serve.http import ReplyError
 from . import wire
 
 __all__ = [
@@ -174,7 +175,7 @@ async def healthz_probe(host: str, port: int, timeout: float) -> dict:
         host, port, "GET", "/healthz", timeout=timeout
     )
     if status != 200:
-        raise wire.PeerProtocolError(f"healthz answered HTTP {status}")
+        raise ReplyError(f"healthz answered HTTP {status}")
     return payload
 
 

@@ -45,7 +45,13 @@ from ..observe.websocket import (
 )
 from ..perf import PERF
 from ..runtime.cache import ResultCache
-from ..serve.http import ConnectionLoop, HTTPError, HTTPRequest, RawResponse
+from ..serve.http import (
+    ConnectionLoop,
+    HTTPError,
+    HTTPRequest,
+    RawResponse,
+    ReplyError,
+)
 from ..serve.protocol import ProtocolError, parse_simulation_request
 from ..serve.server import (
     DEADLINE_HEADER,
@@ -465,7 +471,7 @@ class ClusterRouter:
             status, payload, _ = await wire.request_json(
                 address[0], address[1], "GET", path, timeout=5.0
             )
-        except (OSError, asyncio.TimeoutError, wire.PeerProtocolError) as exc:
+        except (OSError, asyncio.TimeoutError, ReplyError) as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}
         if status != 200:
             return {"error": f"HTTP {status}"}
@@ -584,7 +590,7 @@ class ClusterRouter:
                     headers=forward_headers,
                     timeout=self.proxy_timeout,
                 )
-            except (OSError, asyncio.TimeoutError, wire.PeerProtocolError) as exc:
+            except (OSError, asyncio.TimeoutError, ReplyError) as exc:
                 failures.append(f"{name}: {type(exc).__name__}: {exc}")
                 PERF.incr("cluster.proxy_error")
                 continue

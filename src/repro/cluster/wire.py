@@ -8,9 +8,16 @@ asked for keep-alive; this hop does not ask.  Keep-alive paid for
 itself on the client-facing hop, where a warm hit was mostly connection
 setup, but no workload measures the router-to-replica hop (a proxied
 request has already missed the replicas' shards, so it is usually a
-simulation that dwarfs the connect), and one connection per request
-keeps error handling exact: every failure is an :class:`OSError`,
-:class:`asyncio.TimeoutError`, or :class:`PeerProtocolError`.
+simulation that dwarfs the connect).
+
+Framing is ``ServeClient``'s: the request is one write
+(``serve.http.render_request``), the reply head is read up to its blank
+line (64 KiB at most) and parsed by ``serve.http.parse_reply_head``,
+and the body is exactly ``Content-Length`` bytes, at most
+:data:`MAX_RESPONSE_BYTES`.  A reply that is over-long, cut short,
+malformed or not JSON raises :class:`~repro.serve.http.ReplyError`, so
+every failure is an :class:`OSError`, :class:`asyncio.TimeoutError` or
+:class:`ReplyError`, all three "this replica did not answer".
 """
 
 from __future__ import annotations
@@ -18,64 +25,41 @@ from __future__ import annotations
 import asyncio
 import json
 
-__all__ = ["PeerProtocolError", "request_json"]
+from ..serve.http import (
+    MAX_REPLY_HEAD_BYTES,
+    ReplyError,
+    decode_reply_body,
+    parse_reply_head,
+    render_request,
+)
+
+__all__ = ["read_reply", "request_json"]
 
 #: Upper bound on a peer response body (a simulation result dict is a
 #: few KiB; /stats aggregations stay well under this).
 MAX_RESPONSE_BYTES = 8 << 20
 
 
-class PeerProtocolError(Exception):
-    """A peer response the wire layer could not parse."""
+async def read_reply(reader: asyncio.StreamReader) -> tuple[int, dict, bytes]:
+    """One reply off ``reader``: ``(status, headers, body)``.
 
-
-async def _read_response(
-    reader: asyncio.StreamReader,
-) -> tuple[int, dict, dict]:
-    status_line = await reader.readline()
-    if not status_line:
-        raise PeerProtocolError("peer closed before sending a status line")
-    parts = status_line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise PeerProtocolError(f"malformed status line: {status_line!r}")
+    ``reader``'s limit bounds the head (:class:`ReplyError` past it).
+    """
     try:
-        status = int(parts[1])
-    except ValueError:
-        raise PeerProtocolError(f"malformed status code: {parts[1]!r}") from None
-
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n"):
-            break
-        if not raw:
-            raise PeerProtocolError("peer closed mid-headers")
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise PeerProtocolError(f"malformed header line: {raw!r}")
-        headers[name.strip().lower()] = value.strip()
-
-    length_text = headers.get("content-length", "0") or "0"
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
+        raise ReplyError("reply head exceeds the size limit") from None
+    except asyncio.IncompleteReadError as exc:
+        where = "mid-head" if exc.partial else "before sending a status line"
+        raise ReplyError(f"peer closed {where}") from None
+    status, headers, length = parse_reply_head(
+        head[:-4], max_body=MAX_RESPONSE_BYTES
+    )
     try:
-        length = int(length_text)
-    except ValueError:
-        raise PeerProtocolError(f"bad Content-Length: {length_text!r}") from None
-    if length < 0 or length > MAX_RESPONSE_BYTES:
-        raise PeerProtocolError(f"Content-Length out of range: {length}")
-    body = await reader.readexactly(length) if length else b""
-
-    content_type = headers.get("content-type", "").lower()
-    if content_type.startswith("text/plain"):
-        return status, {"text": body.decode("utf-8", "replace")}, headers
-    try:
-        payload = json.loads(body) if body else {}
-    except json.JSONDecodeError:
-        raise PeerProtocolError(
-            f"undecodable response body: {body[:200]!r}"
-        ) from None
-    if not isinstance(payload, dict):
-        payload = {"value": payload}
-    return status, payload, headers
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError:
+        raise ReplyError("peer closed mid-body") from None
+    return status, headers, body
 
 
 async def request_json(
@@ -92,26 +76,28 @@ async def request_json(
 
     Raises :class:`OSError` on transport failure,
     :class:`asyncio.TimeoutError` when ``timeout`` expires, and
-    :class:`PeerProtocolError` on an unparseable response — the router
-    treats all three as "this replica did not answer".
+    :class:`ReplyError` on an unparseable response — the router treats
+    all three as "this replica did not answer".
     """
+    request_headers = {"Connection": "close"}
+    encoded = None
+    if body is not None:
+        encoded = json.dumps(body).encode()
+        request_headers["Content-Type"] = "application/json"
+    request_headers.update(headers or {})
+    request = render_request(
+        method, path, request_headers, encoded, host=f"{host}:{port}"
+    )
 
     async def _exchange() -> tuple[int, dict, dict]:
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=MAX_REPLY_HEAD_BYTES
+        )
         try:
-            encoded = b""
-            lines = [f"{method} {path} HTTP/1.1", f"Host: {host}:{port}"]
-            if body is not None:
-                encoded = json.dumps(body).encode()
-                lines.append("Content-Type: application/json")
-            lines.append(f"Content-Length: {len(encoded)}")
-            lines.append("Connection: close")
-            for name, value in (headers or {}).items():
-                lines.append(f"{name}: {value}")
-            writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-            writer.write(encoded)
+            writer.write(request)
             await writer.drain()
-            return await _read_response(reader)
+            status, reply_headers, raw = await read_reply(reader)
+            return status, decode_reply_body(reply_headers, raw), reply_headers
         finally:
             writer.close()
             try:
@@ -119,7 +105,4 @@ async def request_json(
             except (ConnectionError, OSError):
                 pass
 
-    try:
-        return await asyncio.wait_for(_exchange(), timeout)
-    except asyncio.IncompleteReadError as exc:
-        raise PeerProtocolError("peer closed mid-response") from exc
+    return await asyncio.wait_for(_exchange(), timeout)

@@ -12,27 +12,49 @@ attempts and propagates to the server in the ``X-Repro-Deadline``
 header so it can abandon work the client already gave up on; a
 ``Retry-After`` longer than the remaining budget is capped to it.
 
-The default transport keeps one persistent connection per calling
+The default transport keeps one ``TCP_NODELAY`` socket per calling
 thread (``Connection: keep-alive``), so a closed loop of requests pays
 the TCP connect once.  Threads that share a client each get their own
-connection.  When a *reused* connection fails before the reply's status
-line (the server closed it while idle, e.g. on drain), the transport
-dials again and resends once; that resend is not a retry attempt, so
-``retries=0`` never turns a stale socket into a failed request.  A
-``/simulate`` POST is content-addressed, so sending it twice is safe.
+socket.  A request goes out as one ``sendall`` of head and body
+(``serve.http.render_request``).  The reply head is read up to its
+blank line and parsed by ``serve.http.parse_reply_head``, the parser
+the router's peer hop uses too; then exactly ``Content-Length`` body
+bytes are read, each socket read bounded by the attempt's timeout.  No
+size cap applies beyond the head's 64 KiB: the largest reply (a full
+``/trace`` buffer, ~16 MB at 65,536 spans) grows with ``repro serve
+--trace-buffer``, and the body buffer grows only with bytes received.
+
+A reply that cannot be framed (bad status line, header line or
+``Content-Length``, an over-long head, bytes past the body, or EOF
+mid-reply) raises :class:`~repro.serve.http.ReplyError`; like a socket
+error it counts as a failed attempt, and the socket is closed, so the
+next request dials afresh and never reads stale bytes.  The socket is
+also closed after a ``Connection: close`` reply.  When a *reused*
+socket fails before the reply's first byte (the server closed it while
+idle, e.g. on drain), the transport dials again and resends once; that
+resend is not a retry attempt, so ``retries=0`` never turns a stale
+socket into a failed request.  A ``/simulate`` POST is
+content-addressed, so sending it twice is safe.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import random
+import socket
 import threading
 import time
 from typing import Callable
 
 from ..runtime.jobs import SimJob
+from .http import (
+    MAX_REPLY_HEAD_BYTES,
+    ReplyError,
+    decode_reply_body,
+    parse_reply_head,
+    render_request,
+)
 
 __all__ = [
     "ServeError",
@@ -93,6 +115,39 @@ class ServiceUnavailable(ServeError):
 Transport = Callable[[str, str, bytes | None, dict, float], tuple]
 
 
+def _exchange(sock: socket.socket, request: bytes) -> tuple[int, dict, bytes]:
+    """Send one request and read its reply: ``(status, headers, body)``.
+
+    A server that closes the socket before the reply's first byte raises
+    ``ConnectionResetError`` (the resend case); a reply cut or malformed
+    after that raises :class:`ReplyError`.
+    """
+    sock.sendall(request)
+    data = b""
+    while (end := data.find(b"\r\n\r\n")) < 0 and len(data) <= MAX_REPLY_HEAD_BYTES:
+        chunk = sock.recv(65536)
+        if not chunk:
+            if data:
+                raise ReplyError("connection closed mid-head")
+            raise ConnectionResetError("server closed the connection unanswered")
+        data += chunk
+    if not 0 <= end <= MAX_REPLY_HEAD_BYTES:
+        raise ReplyError("reply head exceeds the size limit")
+    status, headers, length = parse_reply_head(data[:end])
+    body = data[end + 4 :]
+    if len(body) > length:
+        raise ReplyError("bytes past the reply's Content-Length")
+    chunks = [body]
+    received = len(body)
+    while received < length:
+        chunk = sock.recv(min(length - received, 1 << 20))
+        if not chunk:
+            raise ReplyError("connection closed mid-body")
+        chunks.append(chunk)
+        received += len(chunk)
+    return status, headers, b"".join(chunks)
+
+
 class ServeClient:
     """Thin blocking client with retries, backoff + jitter, deadlines."""
 
@@ -132,55 +187,50 @@ class ServeClient:
         body: bytes | None,
         headers: dict,
         timeout: float,
-    ) -> tuple[int, dict]:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(self.host, self.port)
-            self._local.conn = conn
-        reused = conn.sock is not None
-        conn.timeout = timeout
-        if reused:
-            conn.sock.settimeout(timeout)
+    ) -> tuple[int, dict, dict]:
         headers["Connection"] = "keep-alive"
+        request = render_request(
+            method, path, headers, body, host=f"{self.host}:{self.port}"
+        )
+        sock = getattr(self._local, "sock", None)
         try:
-            try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-            except (ConnectionResetError, BrokenPipeError):
-                # RemoteDisconnected is a ConnectionResetError.
-                if not reused:
-                    raise
-                conn.close()
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-            raw = response.read()
+            if sock is None:
+                status, response_headers, raw = _exchange(
+                    self._dial(timeout), request
+                )
+            else:
+                sock.settimeout(timeout)
+                try:
+                    status, response_headers, raw = _exchange(sock, request)
+                except (ConnectionResetError, BrokenPipeError):
+                    # The server closed the idle socket (e.g. on drain).
+                    sock.close()
+                    status, response_headers, raw = _exchange(
+                        self._dial(timeout), request
+                    )
         except BaseException:
-            conn.close()
+            self.close()
             raise
-        response_headers = {
-            name.lower(): value for name, value in response.getheaders()
-        }
-        content_type = (response.getheader("Content-Type") or "").lower()
-        if content_type.startswith("text/plain"):
-            # Plaintext endpoints (/metrics): carry the body verbatim.
-            return (
-                response.status,
-                {"text": raw.decode("utf-8", "replace")},
-                response_headers,
-            )
+        if response_headers.get("connection", "").lower() == "close":
+            self.close()
         try:
-            payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError:
-            payload = {"error": f"undecodable response body: {raw[:200]!r}"}
-        if not isinstance(payload, dict):
-            payload = {"value": payload}
-        return response.status, payload, response_headers
+            payload = decode_reply_body(response_headers, raw)
+        except ReplyError as exc:
+            payload = {"error": str(exc)}
+        return status, payload, response_headers
+
+    def _dial(self, timeout: float) -> socket.socket:
+        sock = socket.create_connection((self.host, self.port), timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._local.sock = sock
+        return sock
 
     def close(self) -> None:
         """Close the calling thread's persistent connection, if any."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
+        sock = getattr(self._local, "sock", None)
+        if sock is not None:
+            sock.close()
+            self._local.sock = None
 
     # -- core retry loop ------------------------------------------------
     def call(
@@ -217,7 +267,7 @@ class ServeClient:
                 reply = self._transport(
                     method, path, encoded, dict(headers), attempt_timeout
                 )
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, ReplyError) as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
             else:
                 status, payload = reply[0], reply[1]

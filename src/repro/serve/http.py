@@ -9,12 +9,22 @@ keeps the connection open for the next request only when the request
 asked for ``Connection: keep-alive``.  Any other request gets a
 ``Connection: close`` reply and an EOF.  Anything the parser does not
 understand raises :class:`HTTPError`, which the loop maps to a 400.
+
+The client side lives here too, shared by ``ServeClient`` (blocking
+sockets) and the router's peer hop (``cluster/wire.py``, asyncio):
+:func:`render_request` renders a request's head and body as one bytes
+object, so a request is one write, and :func:`parse_reply_head` parses
+the bytes of a reply head (everything before the blank line).  A reply
+is framed by its ``Content-Length`` alone; a reply the parser cannot
+frame raises :class:`ReplyError`, which both clients treat as "the
+server did not answer".
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 
@@ -23,8 +33,12 @@ __all__ = [
     "HTTPError",
     "HTTPRequest",
     "RawResponse",
+    "ReplyError",
+    "decode_reply_body",
+    "parse_reply_head",
     "read_request",
     "render_reply",
+    "render_request",
     "render_response",
     "STATUS_REASONS",
 ]
@@ -33,6 +47,10 @@ __all__ = [
 #: bytes, so anything near this is hostile or broken.
 MAX_BODY_BYTES = 1 << 20
 MAX_HEADER_BYTES = 16 << 10
+#: Upper bound on a reply head (status line and headers), asyncio's
+#: default stream limit; the heads this stack renders are ~100 bytes.
+MAX_REPLY_HEAD_BYTES = 64 << 10
+_UNSAFE_PATH = re.compile(r"[\x00-\x20\x7f]")
 
 STATUS_REASONS = {
     200: "OK",
@@ -48,6 +66,10 @@ STATUS_REASONS = {
 
 class HTTPError(ValueError):
     """A request the wire layer refuses to parse (maps to 400)."""
+
+
+class ReplyError(Exception):
+    """A reply a client cannot frame or decode: the server did not answer."""
 
 
 @dataclass
@@ -181,6 +203,91 @@ def render_response(
 ) -> bytes:
     """One complete ``Connection: close`` JSON response as bytes."""
     return render_reply((status, payload, headers))
+
+
+def render_request(
+    method: str,
+    path: str,
+    headers: dict[str, str],
+    body: bytes | None = None,
+    *,
+    host: str,
+) -> bytes:
+    """One request, head and body, as one bytes object (one write).
+
+    A path holding a space or control character, or a header holding a
+    line break, raises ``ValueError`` rather than splitting the head.
+    """
+    if _UNSAFE_PATH.search(path):
+        raise ValueError(f"unsafe character in request path {path!r}")
+    lines = [
+        f"{method} {path} HTTP/1.1",
+        f"Host: {host}",
+        f"Content-Length: {len(body) if body else 0}",
+    ]
+    for name, value in headers.items():
+        line = f"{name}: {value}"
+        if "\r" in line or "\n" in line:
+            raise ValueError(f"line break in header {name!r}")
+        lines.append(line)
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body or b"")
+
+
+def parse_reply_head(
+    head: bytes, *, max_body: int | None = None
+) -> tuple[int, dict[str, str], int]:
+    """Parse a reply head, the bytes before its blank line.
+
+    Returns ``(status, headers, body length)`` with lower-cased header
+    names.  The body is framed by ``Content-Length`` alone: a missing,
+    non-decimal or over-``max_body`` length, a transfer coding, or a
+    malformed status or header line raises :class:`ReplyError`.
+    """
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    version, _, rest = status_line.partition(" ")
+    code = rest[:3]
+    if not (
+        version.startswith("HTTP/1.")
+        and code.isascii()
+        and code.isdigit()
+        and len(code) == 3
+        and rest[3:4] in ("", " ")
+    ):
+        raise ReplyError(f"malformed status line: {status_line[:80]!r}")
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise ReplyError(f"malformed header line: {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise ReplyError("transfer codings are not supported")
+    length = headers.get("content-length")
+    if length is None:
+        raise ReplyError("reply has no Content-Length")
+    # isascii: isdigit alone admits "²"; the length cap keeps int()
+    # clear of its digit limit.
+    if not (length.isascii() and length.isdigit() and len(length) <= 18):
+        raise ReplyError(f"bad Content-Length: {length[:20]!r}")
+    if max_body is not None and int(length) > max_body:
+        raise ReplyError(f"Content-Length out of range: {length}")
+    return int(code), headers, int(length)
+
+
+def decode_reply_body(headers: dict[str, str], body: bytes) -> dict:
+    """A reply body as a payload dict.
+
+    Plaintext (``/metrics``) comes back as ``{"text": ...}``, a JSON
+    object as itself and any other JSON value as ``{"value": ...}``; a
+    body that is not JSON raises :class:`ReplyError`.
+    """
+    if headers.get("content-type", "").lower().startswith("text/plain"):
+        return {"text": body.decode("utf-8", "replace")}
+    try:
+        payload = json.loads(body) if body else {}
+    except (ValueError, RecursionError):  # ValueError: bad JSON or UTF-8
+        raise ReplyError(f"undecodable response body: {body[:200]!r}") from None
+    return payload if isinstance(payload, dict) else {"value": payload}
 
 
 def _wants_keep_alive(request: HTTPRequest) -> bool:

@@ -16,7 +16,10 @@ import pytest
 from repro.cluster import ClusterRouter
 from repro.runtime import ResultCache, run_jobs
 from repro.serve.client import ServeClient, ServeError, ServiceUnavailable
+from repro.serve.protocol import parse_simulation_request
 from repro.serve.server import ServerThread, SimulationService
+
+from ._peers import ScriptedPeer
 
 SMALL = {"dataset": "cora", "scale": 0.1, "hidden": 8, "layers": 1}
 
@@ -145,6 +148,35 @@ class TestRouting:
 
 
 class TestFailover:
+    def test_overlong_reply_line_fails_over(self):
+        """A replica whose reply head overruns the 64 KiB limit did not
+        answer: the next ring candidate serves the request.
+
+        Regression: ``StreamReader.readline`` turned the overrun into a
+        bare ``ValueError`` that the proxy loop did not catch, so the
+        request became a 500 instead of a failover.
+        """
+        peer = ScriptedPeer(
+            [b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"]
+        )
+        router = ClusterRouter()
+        router.replica_up("bad", *peer.address)
+        with Fleet(1, router=router) as fleet:
+            body = next(
+                {**SMALL, "seed": seed}
+                for seed in range(100)
+                if router.ring.preference(
+                    parse_simulation_request({**SMALL, "seed": seed}).key, 2
+                )[0] == "bad"
+            )
+            client = fleet.client(retries=0)
+            payload = client.simulate(body)
+            client.close()
+            assert payload["replica"] == "0"
+            assert router.counters["proxy_failovers"] == 1
+            assert router.counters["errors"] == 0
+        peer.join()
+
     def test_dead_replica_fails_over(self):
         """Killing a replica's socket reroutes its keys, invisibly."""
         with Fleet(2, router=ClusterRouter()) as fleet:

@@ -9,8 +9,12 @@ from repro.serve.http import (
     HTTPError,
     HTTPRequest,
     RawResponse,
+    ReplyError,
+    decode_reply_body,
+    parse_reply_head,
     read_request,
     render_reply,
+    render_request,
     render_response,
 )
 
@@ -169,3 +173,85 @@ class TestRenderReply:
         close = render_reply((200, {"ok": True}, {"X-Extra": "1"}))
         kept = render_reply((200, {"ok": True}, {"X-Extra": "1"}), keep_alive=True)
         assert kept == close.replace(b"Connection: close", b"Connection: keep-alive")
+
+
+class TestRenderRequest:
+    def test_head_and_body_in_one_object_read_back_by_the_server(self):
+        raw = render_request(
+            "POST", "/simulate", {"Content-Type": "application/json"},
+            b'{"dataset": "cora"}', host="h:1",
+        )
+        req = parse(raw)
+        assert (req.method, req.path) == ("POST", "/simulate")
+        assert req.headers["host"] == "h:1"
+        assert req.json() == {"dataset": "cora"}
+
+    def test_get_has_zero_length(self):
+        raw = render_request("GET", "/healthz", {}, host="h:1")
+        assert raw.endswith(b"Content-Length: 0\r\n\r\n")
+        assert parse(raw).body == b""
+
+    @pytest.mark.parametrize("value", ["a\r\nX-Injected: 1", "a\nb"])
+    def test_line_break_in_a_header_is_refused(self, value):
+        with pytest.raises(ValueError, match="line break"):
+            render_request("GET", "/", {"X-Repro-Trace-Id": value}, host="h")
+
+    @pytest.mark.parametrize("path", ["/trace?trace_id=a\r\nX: 1", "/a b", "/\x00"])
+    def test_unsafe_path_is_refused(self, path):
+        with pytest.raises(ValueError, match="unsafe character"):
+            render_request("GET", path, {}, host="h")
+
+
+class TestParseReplyHead:
+    """The reply-head parser both clients share."""
+
+    def head(self, raw: bytes) -> bytes:
+        return raw.partition(b"\r\n\r\n")[0]
+
+    def test_rendered_reply_round_trips(self):
+        raw = render_reply((429, {"error": "shed"}, {"Retry-After": "0.5"}))
+        status, headers, length = parse_reply_head(self.head(raw))
+        assert status == 429
+        assert headers["retry-after"] == "0.5"
+        assert headers["connection"] == "close"
+        assert length == len(raw.partition(b"\r\n\r\n")[2])
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"",
+            b"HTTP/1.1 200",  # no Content-Length
+            b"SPDY/3 200 OK\r\nContent-Length: 0",
+            b"HTTP/1.1 20 OK\r\nContent-Length: 0",
+            b"HTTP/1.1 2000 OK\r\nContent-Length: 0",
+            b"HTTP/1.1 \xb200 OK\r\nContent-Length: 0",  # superscript two
+            b"HTTP/1.1 200 OK\r\nnocolon\r\nContent-Length: 0",
+            b"HTTP/1.1 200 OK\r\nContent-Length: -1",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1_0",
+            b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000,
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked",
+        ],
+    )
+    def test_unframeable_head_is_reply_error(self, head):
+        with pytest.raises(ReplyError):
+            parse_reply_head(head)
+
+    def test_max_body_caps_the_length(self):
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: 11"
+        assert parse_reply_head(head, max_body=11)[2] == 11
+        with pytest.raises(ReplyError, match="out of range"):
+            parse_reply_head(head, max_body=10)
+
+
+class TestDecodeReplyBody:
+    def test_json_plaintext_and_other_values(self):
+        assert decode_reply_body({}, b'{"a": 1}') == {"a": 1}
+        assert decode_reply_body({}, b"") == {}
+        assert decode_reply_body({}, b"[1]") == {"value": [1]}
+        text = {"content-type": "text/plain; version=0.0.4"}
+        assert decode_reply_body(text, b"up 1\n") == {"text": "up 1\n"}
+
+    @pytest.mark.parametrize("body", [b"{nope", b"\xff\xfe\x00", b"[" * 100_000])
+    def test_undecodable_body_is_reply_error(self, body):
+        with pytest.raises(ReplyError, match="undecodable"):
+            decode_reply_body({}, body)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import ClusterRouter
 from repro.runtime import run_jobs
+from repro.serve import server as server_module
 from repro.serve.client import ServeClient
 from repro.serve.server import ServerThread, SimulationService
 
@@ -28,14 +29,24 @@ FRONT_ENDS = ("service", "router")
 HEALTHZ_KEEP_ALIVE = b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"
 
 
-def count_connections(owner) -> list:
+class Connections(list):
+    """Peer names of accepted connections; ``finished`` counts the
+    connections whose handler has returned."""
+
+    finished = 0
+
+
+def count_connections(owner) -> Connections:
     """Wrap ``owner.handle`` so each accepted connection is recorded."""
-    accepted = []
+    accepted = Connections()
     inner = owner.handle
 
     async def handle(reader, writer):
         accepted.append(writer.get_extra_info("peername"))
-        await inner(reader, writer)
+        try:
+            await inner(reader, writer)
+        finally:
+            accepted.finished += 1
 
     owner.handle = handle
     return accepted
@@ -210,3 +221,52 @@ class TestKeepAlive:
         assert b"Connection: close" in head
         assert json.loads(body)["result"]["accelerator"] == "aurora"
         assert front.exit_code == 0
+
+
+VANISHING = {
+    "half-head": b"POST /simulate HTTP/1.1\r\nConnection: keep-al",
+    "head-and-part-body": (
+        b"POST /simulate HTTP/1.1\r\nConnection: keep-alive\r\n"
+        b"Content-Type: application/json\r\nContent-Length: 64\r\n\r\n"
+        b'{"dataset": '
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FRONT_ENDS)
+@pytest.mark.parametrize("partial", VANISHING.values(), ids=VANISHING.keys())
+def test_kept_alive_client_vanishing_mid_request(kind, partial, monkeypatch):
+    """A kept-alive client that closes after part of a request leaves
+    the server whole: it keeps answering, counts no handler error, and
+    still drains at once with no task left pending."""
+    pending = {}
+    unwind = server_module.unwind_tasks
+
+    def recording_unwind(loop):
+        pending[loop] = asyncio.all_tasks(loop)
+        unwind(loop)
+
+    monkeypatch.setattr(server_module, "unwind_tasks", recording_unwind)
+    with front_end(kind, drain_timeout=2.0) as (front, accepted):
+        counters = front.service.counters
+        with connect(front.address) as sock:
+            sock.sendall(HEALTHZ_KEEP_ALIVE)
+            head, _, _ = read_response(sock)
+            assert b"Connection: keep-alive" in head
+            errors = counters["errors"]
+            sock.sendall(partial)
+        deadline = time.monotonic() + 10.0
+        while accepted.finished < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert accepted.finished == 1  # the vanished connection is over
+        with connect(front.address) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert read_to_eof(sock).startswith(b"HTTP/1.1 200 ")
+        assert counters["errors"] == errors
+        start = time.monotonic()
+        exit_code = front.stop(timeout=10.0)
+        elapsed = time.monotonic() - start
+        loop = front._loop
+    assert exit_code == 0
+    assert elapsed < 2.0
+    assert pending[loop] == set()
