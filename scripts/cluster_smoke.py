@@ -15,8 +15,9 @@ to end:
 * **drain** — SIGTERM exits 0 after finishing in-flight work.
 
 The final aggregate ``/stats`` snapshot is written to
-CLUSTER_STATS.json and uploaded as a CI artifact.  Run from the repo
-root:
+CLUSTER_STATS.json and uploaded as a CI artifact; its router request
+counts must equal the router's ``/metrics`` children fetched after it.
+Run from the repo root:
 
     PYTHONPATH=src python scripts/cluster_smoke.py
 """
@@ -40,6 +41,43 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.serve.client import ServeClient, ServeError  # noqa: E402
 
 SMALL = {"dataset": "cora", "scale": 0.2, "hidden": 16, "layers": 1}
+
+
+def request_count_mismatches(requests: dict, metrics_text: str) -> list[str]:
+    """The router's ``/stats`` request counts that differ from the
+    ``/metrics`` children they are read from."""
+    families: dict = {}
+    for line in metrics_text.splitlines():
+        if line.startswith("repro_cluster_"):
+            name, value = line.rsplit(" ", 1)
+            family, _, labels = name.partition("{")
+            families.setdefault(family, {})[labels.rstrip("}")] = float(value)
+
+    def total(family, match=""):
+        return sum(
+            v for k, v in families.get(family, {}).items() if match in k
+        )
+
+    def event(name):
+        return total("repro_cluster_events_total", f'event="{name}"')
+
+    unanswered = event("unanswered")
+    expected = {
+        "requests": total("repro_cluster_requests_total"),
+        "completed": total("repro_cluster_requests_total", 'status="200"'),
+        "tier_served": total("repro_cluster_tier_hits_total", 'endpoint="simulate"'),
+        "proxied": total("repro_cluster_routed_total"),
+        "proxy_failovers": total("repro_cluster_failovers_total"),
+        "shed": event("shed"),
+        "no_replica": event("no_replica") + unanswered,
+        "bad_requests": event("bad_request"),
+        "errors": event("error") + unanswered,
+    }
+    return [
+        f"{key} {requests[key]} != {value:g}"
+        for key, value in expected.items()
+        if requests[key] != value
+    ]
 
 
 def check(condition: bool, label: str) -> None:
@@ -172,6 +210,13 @@ def main() -> int:
                 json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
             )
             print("smoke: wrote CLUSTER_STATS.json", flush=True)
+            mismatches = request_count_mismatches(
+                snapshot["router"]["requests"], client.metrics()
+            )
+            check(
+                not mismatches,
+                f"/stats request counts equal /metrics {mismatches}",
+            )
 
             # SIGTERM drain: router drains, replicas drain, exit 0.
             process.send_signal(signal.SIGTERM)

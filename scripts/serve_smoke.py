@@ -6,7 +6,8 @@ with a latency bound that runs no batch, 200 sequential warm hits over
 one dialed connection, overload shedding — exports the request traces as a
 Chrome ``trace.json`` (validated: well-formed events, at least one
 complete request tree), then checks the SIGTERM drain contract and
-writes the final ``/stats`` snapshot to SERVE_STATS.json.  Both JSON
+writes the final ``/stats`` snapshot to SERVE_STATS.json, whose request
+counts must equal the ``/metrics`` children fetched after it.  Both JSON
 files are uploaded as CI artifacts.  The last requests go over a
 kept-alive connection that stays open and idle across the SIGTERM: the
 server must close it and exit 0 within its drain timeout (Python 3.12+
@@ -51,6 +52,37 @@ def check(condition: bool, label: str) -> None:
     print(f"smoke: {label}: {status}", flush=True)
     if not condition:
         raise SystemExit(f"smoke check failed: {label}")
+
+
+def request_count_mismatches(requests: dict, metrics_text: str) -> list[str]:
+    """The ``/stats`` request counts that differ from the ``/metrics``
+    children they are read from."""
+    series = {}
+    for line in metrics_text.splitlines():
+        if line.startswith(("repro_requests_total{", "repro_serve_events_total{")):
+            name, value = line.rsplit(" ", 1)
+            series[name] = float(value)
+
+    def status(code):
+        return series.get(f'repro_requests_total{{status="{code}"}}', 0.0)
+
+    def event(name):
+        return series.get(f'repro_serve_events_total{{event="{name}"}}', 0.0)
+
+    expected = {
+        "requests": sum(
+            v for k, v in series.items() if k.startswith("repro_requests_total")
+        ),
+        "completed": status(200),
+        "errors": status(500) + event("error"),
+        "timeouts": status(504),
+        "bad_requests": status(400) + event("bad_request"),
+    }
+    return [
+        f"{key} {requests[key]} != {value:g}"
+        for key, value in expected.items()
+        if requests[key] != value
+    ]
 
 
 class DialCountingClient(ServeClient):
@@ -184,6 +216,13 @@ def main() -> int:
                 json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
             )
             print("smoke: wrote SERVE_STATS.json", flush=True)
+            mismatches = request_count_mismatches(
+                snapshot["requests"], client.metrics()
+            )
+            check(
+                not mismatches,
+                f"/stats request counts equal /metrics {mismatches}",
+            )
 
             # SIGTERM drain with this thread's kept-alive connection
             # open and idle: the process must exit 0 within the drain

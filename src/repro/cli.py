@@ -1398,11 +1398,7 @@ async def _observe_replay(args: argparse.Namespace) -> int:
             return 404, {"error": "no such asset"}
         return 404, {"error": "replay serves /observe and /observer only"}
 
-    connections = ConnectionLoop(
-        dispatch,
-        {"bad_requests": 0, "errors": 0},
-        websocket=broadcaster.handle_client,
-    )
+    connections = ConnectionLoop(dispatch, websocket=broadcaster.handle_client)
     server = await asyncio.start_server(connections.handle, args.host, args.port)
     host, port = server.sockets[0].getsockname()[:2]
     print(

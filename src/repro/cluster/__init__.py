@@ -16,15 +16,14 @@ single-flight dedup and warm caches:
 * :mod:`.router` — the asyncio front end: the replicas' cache shards
   read before any recompute, placement, per-replica bounded in-flight
   with ``Retry-After`` shedding, transport-failure failover, fleet-wide
-  ``/stats`` + ``/metrics``, and the ``cluster_forever`` /
-  :class:`~.router.ClusterThread` hosts.
+  ``/stats`` + ``/metrics``, and the ``cluster_forever`` host.
 
 CLI: ``repro cluster --replicas N``; see ``docs/serving.md``.
 """
 
 from .replica import ReplicaConfig, ReplicaSpawnError, ReplicaSupervisor, SubprocessReplica
 from .ring import DEFAULT_VNODES, HashRing, ring_point
-from .router import ClusterRouter, ClusterThread, cluster_forever
+from .router import ClusterRouter, cluster_forever
 
 __all__ = [
     "HashRing",
@@ -35,6 +34,5 @@ __all__ = [
     "ReplicaSupervisor",
     "SubprocessReplica",
     "ClusterRouter",
-    "ClusterThread",
     "cluster_forever",
 ]

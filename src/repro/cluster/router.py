@@ -22,6 +22,9 @@ One asyncio process owns the client-facing socket and fans
   and ``/start`` remove and restore individual replicas without
   dropping the fleet.
 
+The router counts into its own ``MetricsRegistry``, which ``/stats``
+reads and ``/metrics`` renders after the process-global one.
+
 The router duck-types :class:`repro.serve.server.ServerThread`'s
 service contract (``handle``/``begin_drain``/``drain``), so tests and
 benches host it exactly like a single service.
@@ -43,7 +46,6 @@ from ..observe.websocket import (
     encode_pong,
     read_frame,
 )
-from ..perf import PERF
 from ..runtime.cache import ResultCache
 from ..serve.http import (
     ConnectionLoop,
@@ -53,22 +55,21 @@ from ..serve.http import (
     ReplyError,
 )
 from ..serve.protocol import ProtocolError, parse_simulation_request
-from ..serve.server import (
-    DEADLINE_HEADER,
-    TRACE_HEADER,
-    LatencyWindow,
-    unwind_tasks,
-)
+from ..serve.server import DEADLINE_HEADER, TRACE_HEADER, LatencyWindow
 from ..telemetry import METRICS
+from ..telemetry.metrics import MetricsRegistry, event_children
 from ..telemetry.trace import valid_trace_id
 from . import wire
 from .replica import ReplicaSupervisor
 from .ring import DEFAULT_VNODES, HashRing
 
-__all__ = ["ClusterRouter", "ClusterThread", "cluster_forever"]
+__all__ = ["ClusterRouter", "cluster_forever"]
 
 #: Key sanity bound for /result/<key> (sha256 hex is 64 chars).
 _HEX = set("0123456789abcdef")
+#: The router's own ``/simulate`` statuses (a replica's may be relayed).
+ROUTER_STATUSES = (200, 400, 429, 503)
+TIERS = ("memory", "disk")
 
 
 class ClusterRouter:
@@ -96,65 +97,73 @@ class ClusterRouter:
         self.retry_after_hint = retry_after_hint
         self.supervisor = supervisor
         #: Replica result-cache shards read before proxying, by replica
-        #: name (see :meth:`add_shard`), and what they answered.
+        #: name (see :meth:`add_shard`).
         self.shards: dict[str, ResultCache] = {}
-        self.tier_hits = {"memory": 0, "disk": 0}
-        self.tier_misses = 0
         #: Optional :class:`repro.observe.ObserveState` (built around a
         #: *private* hub, never the process-global one: in-process
         #: replica services must not leak events into the fleet feed
         #: except through their relayed WebSocket streams).
         self.observe = observe
         self._relays: dict[str, asyncio.Task] = {}
-        self.relay_events = 0
-        self.relay_reconnects = 0
         self._addresses: dict[str, tuple[str, int]] = {}
         self._inflight: dict[str, int] = {}
         self._idle: asyncio.Event | None = None
         self.latency = LatencyWindow()
-        self.counters = {
-            "requests": 0,
-            "completed": 0,
-            "tier_served": 0,
-            "proxied": 0,
-            "proxy_failovers": 0,
-            "shed": 0,
-            "no_replica": 0,
-            "bad_requests": 0,
-            "errors": 0,
-        }
-        self._requests_total = METRICS.counter(
+        self.metrics = MetricsRegistry()
+        self.events = self.metrics.counter(
+            "repro_cluster_events_total",
+            help="Router events no other cluster family decides",
+            labelnames=("event",),
+        )
+        (
+            self._bad_request, self._error, self._shed, self._no_replica,
+            self._unanswered, self._proxy_error, self._tier_miss,
+            self._relayed, self._relay_reconnects,
+        ) = event_children(
+            self.events, "bad_request", "error", "shed", "no_replica",
+            "unanswered", "proxy_error", "tier_miss", "relay", "relay_reconnect",
+        )
+        self._requests_total = self.metrics.counter(
             "repro_cluster_requests_total",
             help="Cluster requests by response status",
             labelnames=("status",),
         )
-        self._routed_total = METRICS.counter(
+        self._by_status = {
+            status: self._requests_total.labels(status=status)
+            for status in ROUTER_STATUSES
+        }
+        tier_hits = self.metrics.counter(
+            "repro_cluster_tier_hits_total",
+            help="Results read from each shard tier before compute, by endpoint",
+            labelnames=("endpoint", "tier"),
+        )
+        self._tier_hits = {
+            (endpoint, tier): tier_hits.labels(endpoint=endpoint, tier=tier)
+            for endpoint in ("simulate", "result")
+            for tier in TIERS
+        }
+        self._routed_total = self.metrics.counter(
             "repro_cluster_routed_total",
             help="Requests proxied to each replica",
             labelnames=("replica",),
         )
-        self._tier_hits_total = METRICS.counter(
-            "repro_cluster_tier_hits_total",
-            help="Results served from each cache tier before compute",
-            labelnames=("tier",),
-        )
-        self._replica_up = METRICS.gauge(
+        self._replica_up = self.metrics.gauge(
             "repro_cluster_replica_up",
             help="1 while a replica is routable, 0 otherwise",
             labelnames=("replica",),
         )
-        self._failovers_total = METRICS.counter(
+        self._failovers_total = self.metrics.counter(
             "repro_cluster_failovers_total",
             help="Proxy attempts re-routed after a replica transport failure",
             labelnames=("replica",),
         )
-        self._request_seconds = METRICS.histogram(
+        self._request_seconds = self.metrics.histogram(
             "repro_cluster_request_seconds",
             help="End-to-end /simulate latency as observed by the router",
         )
         self.http = ConnectionLoop(
             self.dispatch,
-            self.counters,
+            self.events,
             websocket=observe.broadcaster.handle_client if observe else None,
         )
         self._started = time.monotonic()
@@ -163,28 +172,27 @@ class ClusterRouter:
         """Read ``cache`` before proxying: replica ``name``'s shard, same host."""
         self.shards[name] = cache
 
-    def _lookup(self, key: str) -> tuple[dict | None, str | None]:
+    def _lookup(
+        self, key: str, endpoint: str = "result"
+    ) -> tuple[dict | None, str | None]:
         """The first shard's cached result for ``key`` and its tier.
 
         Shards are probed in ring order from ``key``'s owner, which holds
         the result whenever the ring has not changed since it was
         computed, then the shards of replicas not in the ring.  The tier
         is ``memory`` when the shard's memory tier answered, ``disk``
-        when the blob was read; ``(None, None)`` on a miss.
+        when the blob was read; ``(None, None)`` on a miss.  A hit
+        counts under ``endpoint`` and its tier, a miss as ``tier_miss``.
         """
         ranked = self.ring.preference(key)
         order = [name for name in ranked if name in self.shards]
         order += [name for name in self.shards if name not in ranked]
         for name in order:
-            shard = self.shards[name]
-            memory_hits = shard.stats.memory_hits
-            result = shard.load(key)
+            result, tier = self.shards[name].lookup(key)
             if result is not None:
-                from_memory = shard.stats.memory_hits > memory_hits
-                tier = "memory" if from_memory else "disk"
-                self.tier_hits[tier] += 1
+                self._tier_hits[endpoint, tier].inc()
                 return result, tier
-        self.tier_misses += 1
+        self._tier_miss.inc()
         return None, None
 
     # -- membership (supervisor callbacks; sync, loop-thread only) ------
@@ -277,7 +285,7 @@ class ClusterRouter:
                     self.observe.hub.emit(
                         event["type"], data, ts=event.get("ts")
                     )
-                    self.relay_events += 1
+                    self._relayed.inc()
             except asyncio.CancelledError:
                 return
             except (OSError, WebSocketError, ConnectionError):
@@ -287,7 +295,7 @@ class ClusterRouter:
                     writer.close()
             if name not in self._addresses:
                 return
-            self.relay_reconnects += 1
+            self._relay_reconnects.inc()
             try:
                 await asyncio.sleep(backoff)
             except asyncio.CancelledError:
@@ -323,7 +331,7 @@ class ClusterRouter:
         if path == "/metrics":
             if request.method != "GET":
                 return 405, {"error": "metrics is GET-only"}
-            return 200, METRICS.render_prometheus()
+            return 200, METRICS.render_prometheus() + self.metrics.render_prometheus()
         if path == "/trace":
             if request.method != "GET":
                 return 405, {"error": "trace is GET-only"}
@@ -380,6 +388,38 @@ class ClusterRouter:
             "uptime_seconds": time.monotonic() - self._started,
         }
 
+    def request_counts(self) -> dict[str, int]:
+        """The ``router.requests`` section of ``/stats``, read from the
+        children (``unanswered``: every candidate failed, so it is both
+        a ``no_replica`` and an ``errors``)."""
+        unanswered = int(self._unanswered.get())
+        tier_served = sum(
+            self._tier_hits["simulate", tier].get() for tier in TIERS
+        )
+        return {
+            "requests": int(self._requests_total.total()),
+            "completed": int(self._by_status[200].get()),
+            "tier_served": int(tier_served),
+            "proxied": int(self._routed_total.total()),
+            "proxy_failovers": int(self._failovers_total.total()),
+            "shed": int(self._shed.get()),
+            "no_replica": int(self._no_replica.get()) + unanswered,
+            "bad_requests": int(self._bad_request.get()),
+            "errors": int(self._error.get()) + unanswered,
+        }
+
+    def tiers(self) -> dict:
+        """The ``router.tiers`` section of ``/stats``: shard lookups from
+        both endpoints."""
+        hits = {tier: 0 for tier in TIERS}
+        for (_, tier), child in self._tier_hits.items():
+            hits[tier] += int(child.get())
+        return {
+            "misses": int(self._tier_miss.get()),
+            "tier_hits": hits,
+            "disk_shards": len(self.shards),
+        }
+
     async def stats(self) -> dict:
         """Cluster aggregate: router view + every routable replica's /stats."""
         names = self.ring.nodes
@@ -397,13 +437,9 @@ class ClusterRouter:
             "role": "router",
             "uptime_seconds": time.monotonic() - self._started,
             "router": {
-                "requests": dict(self.counters),
+                "requests": self.request_counts(),
                 "ring": self.ring.snapshot(),
-                "tiers": {
-                    "misses": self.tier_misses,
-                    "tier_hits": dict(self.tier_hits),
-                    "disk_shards": len(self.shards),
-                },
+                "tiers": self.tiers(),
                 "inflight": dict(sorted(self._inflight.items())),
                 "max_inflight_per_replica": self.max_inflight_per_replica,
                 "latency": self.latency.snapshot(),
@@ -516,29 +552,26 @@ class ClusterRouter:
         start = time.perf_counter()
         reply = await self._simulate_inner(request, start)
         status = reply[0]
-        self._requests_total.labels(status=str(status)).inc()
+        (
+            self._by_status.get(status)
+            or self._requests_total.labels(status=status)
+        ).inc()
         self._request_seconds.observe(time.perf_counter() - start)
         return reply
 
     async def _simulate_inner(self, request: HTTPRequest, start: float) -> tuple:
-        self.counters["requests"] += 1
-        PERF.incr("cluster.request")
         if self.http.draining:
             return 503, {"error": "cluster is draining"}, self._retry_after()
         try:
             body = request.json()
             job = parse_simulation_request(body)
         except (HTTPError, ProtocolError) as exc:
-            self.counters["bad_requests"] += 1
+            self._bad_request.inc()
             return 400, {"error": str(exc)}
         key = job.key
 
-        result, tier = self._lookup(key)
+        result, tier = self._lookup(key, "simulate")
         if result is not None:
-            self.counters["tier_served"] += 1
-            self.counters["completed"] += 1
-            self._tier_hits_total.labels(tier=tier).inc()
-            PERF.incr("cluster.tier_hit")
             latency = time.perf_counter() - start
             self.latency.add(latency)
             return 200, {
@@ -553,7 +586,7 @@ class ClusterRouter:
 
         candidates = self.ring.preference(key, 1 + self.proxy_retries)
         if not candidates:
-            self.counters["no_replica"] += 1
+            self._no_replica.inc()
             return 503, {"error": "no routable replica"}, self._retry_after()
 
         forward_headers = {}
@@ -572,15 +605,13 @@ class ClusterRouter:
             if self._inflight.get(name, 0) >= self.max_inflight_per_replica:
                 # The owner is saturated: shed with backpressure rather
                 # than spill the job to a replica whose caches are cold.
-                self.counters["shed"] += 1
-                PERF.incr("cluster.shed")
+                self._shed.inc()
                 return 429, {
                     "error": f"replica {name} is saturated, request shed",
                     "replica": name,
                     "max_inflight": self.max_inflight_per_replica,
                 }, self._retry_after()
             if attempt > 0:
-                self.counters["proxy_failovers"] += 1
                 self._failovers_total.labels(replica=name).inc()
             self._inflight[name] = self._inflight.get(name, 0) + 1
             try:
@@ -592,17 +623,15 @@ class ClusterRouter:
                 )
             except (OSError, asyncio.TimeoutError, ReplyError) as exc:
                 failures.append(f"{name}: {type(exc).__name__}: {exc}")
-                PERF.incr("cluster.proxy_error")
+                self._proxy_error.inc()
                 continue
             finally:
                 self._inflight[name] = max(0, self._inflight.get(name, 1) - 1)
                 self._note_idle()
-            self.counters["proxied"] += 1
             self._routed_total.labels(replica=name).inc()
             if isinstance(payload, dict):
                 payload.setdefault("replica", name)
             if status == 200:
-                self.counters["completed"] += 1
                 latency = time.perf_counter() - start
                 self.latency.add(latency)
                 payload["latency_seconds"] = latency
@@ -611,12 +640,11 @@ class ClusterRouter:
                 # The replica's own admission shed it; relay the
                 # backpressure (with our hint) instead of stampeding
                 # a cache-cold neighbour.
-                self.counters["shed"] += 1
+                self._shed.inc()
                 return status, payload, self._retry_after()
-            self.counters["errors"] += 1
+            self._error.inc()
             return status, payload
-        self.counters["no_replica"] += 1
-        self.counters["errors"] += 1
+        self._unanswered.inc()
         return 503, {
             "error": "no replica answered",
             "attempts": failures,
@@ -630,8 +658,8 @@ class ClusterRouter:
             return None
         section = self.observe.snapshot()
         section["relays"] = sorted(self._relays)
-        section["relay_events"] = self.relay_events
-        section["relay_reconnects"] = self.relay_reconnects
+        section["relay_events"] = int(self._relayed.get())
+        section["relay_reconnects"] = int(self._relay_reconnects.get())
         return section
 
     # -- lifecycle (ServerThread-compatible) -----------------------------
@@ -666,7 +694,7 @@ class ClusterRouter:
                 "in_flight": sum(self._inflight.values()),
                 "max_pending": self.max_inflight_per_replica
                 * max(1, len(self._addresses)),
-                "shed": self.counters["shed"],
+                "shed": int(self._shed.get()),
             },
             "batcher": {},
             "latency": self.latency.snapshot(),
@@ -746,108 +774,3 @@ async def cluster_forever(
     )
     return 0 if clean else 1
 
-
-class ClusterThread:
-    """Host a whole cluster (router + supervisor) on a background thread.
-
-    The benches and the smoke-style tests need the full fleet — replica
-    subprocesses, supervision, routing — while the driving code stays
-    synchronous.  ``start`` blocks until every replica is up and the
-    router is listening; ``stop`` runs the same ordered teardown the
-    SIGTERM path takes.
-    """
-
-    def __init__(
-        self,
-        router: ClusterRouter,
-        supervisor: ReplicaSupervisor,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        drain_timeout: float = 30.0,
-    ) -> None:
-        self.router = router
-        self.supervisor = supervisor
-        self.host = host
-        self.port = port
-        self.drain_timeout = drain_timeout
-        self.address: tuple[str, int] | None = None
-        self.exit_code: int | None = None
-        self.startup_error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._started = None
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def main() -> int:
-            self._stop = asyncio.Event()
-            self.router.attach_supervisor(self.supervisor)
-            self.router.observe_startup()
-            await self.supervisor.start(wait_ready=True)
-            server = await asyncio.start_server(
-                self.router.handle, self.host, self.port
-            )
-            self.address = server.sockets[0].getsockname()[:2]
-            self._started.set()
-            await self._stop.wait()
-            self.router.begin_drain()
-            server.close()
-            await server.wait_closed()
-            clean = await self.router.drain(timeout=self.drain_timeout)
-            await self.router.observe_shutdown()
-            await self.supervisor.stop(drain_timeout=self.drain_timeout)
-            return 0 if clean else 1
-
-        try:
-            self.exit_code = self._loop.run_until_complete(main())
-        except BaseException as exc:  # noqa: BLE001 — surfaced by start()
-            self.startup_error = exc
-        finally:
-            self._started.set()  # unblock start() even on a crash
-            unwind_tasks(self._loop)
-            self._loop.close()
-
-    def start(self, timeout: float = 180.0) -> tuple[str, int]:
-        import threading
-
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("cluster thread failed to start in time")
-        if self.address is None:
-            raise RuntimeError(
-                f"cluster thread crashed during startup: {self.startup_error}"
-            )
-        return self.address
-
-    def stop(self, timeout: float = 120.0) -> int | None:
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already closed
-        if self._thread is not None:
-            self._thread.join(timeout)
-        return self.exit_code
-
-    def run_on_loop(self, coro, timeout: float = 30.0):
-        """Run ``coro`` on the cluster loop (tests: drain a replica)."""
-        import concurrent.futures
-
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise
-
-    def __enter__(self) -> "ClusterThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -10,16 +10,20 @@ hot path carries permanent, near-zero-cost instrumentation:
   ``repro_stage_seconds`` histogram family, labelled by span name,
   whether tracing is on or off.  The span is the only stage primitive;
   :attr:`PerfRegistry.stages` is a read-only view of that family;
-* **counters** — integer event counts, used for the memoization layers'
-  hit/miss bookkeeping (``mapping.tile_cache_hit``,
-  ``tiling.plan_cache_hit``, ``partition.sample_cache_hit`` …), kept in
-  the ``repro_events_total`` family (labelled by event).
+* **counters** — integer counts of process-wide events: the
+  memoization layers' hits and misses (``mapping.tile_cache_hit``,
+  ``tiling.plan_cache_hit``, ``partition.sample_cache_hit`` …) and the
+  ``tiles.*``, ``runtime.*`` and ``graphs.*`` events, kept in the
+  ``repro_events_total`` family (labelled by event).  A serve or router
+  instance counts its requests, batches and sheds in its own registry
+  (``repro_serve_events_total``, ``repro_cluster_events_total``), not
+  here.
 
 Both families live in the process-global
-:data:`~repro.telemetry.metrics.METRICS` store, which the serve
-``/metrics`` endpoint renders as Prometheus text.  The ``stages`` /
-``counters`` / ``snapshot()`` views keep their historical shapes, which
-perfbench and the test-suite rely on.
+:data:`~repro.telemetry.metrics.METRICS` store, which every ``/metrics``
+endpoint renders as Prometheus text.  The ``stages`` / ``counters`` /
+``snapshot()`` views keep their historical shapes, which perfbench and
+the test-suite rely on.
 
 Thread safety: the underlying metric children carry their own locks, so
 spans and ``incr`` calls from serve's executor threads never lose
@@ -82,8 +86,8 @@ class PerfRegistry:
 
     # -- lifecycle -----------------------------------------------------
     def reset(self) -> None:
-        """Clear the perf families (other families in the shared
-        registry, e.g. serve request metrics, are left alone)."""
+        """Clear the perf families (the other families in
+        :data:`METRICS` are left alone)."""
         self._stages.clear()
         self._events.clear()
 

@@ -146,6 +146,12 @@ class ResultCache:
         break a sweep, only slow it down.  The memory tier answers
         first; a disk hit fills it.
         """
+        return self.lookup(key)[0]
+
+    def lookup(self, key: str) -> tuple[dict | None, str | None]:
+        """:meth:`load` and the tier that answered (``"memory"``,
+        ``"disk"``; ``None`` on a miss), for callers that count their
+        own hits: ``stats`` also moves with other threads' loads."""
         memory_key = (str(self.root), self.fingerprint, key)
         with _MEMORY_LOCK:
             result = _MEMORY.get(memory_key)
@@ -153,36 +159,36 @@ class ResultCache:
                 _MEMORY.move_to_end(memory_key)
         if result is not None:
             self.stats.add("hits", "memory_hits")
-            return result
+            return result, "memory"
         path = self.path_for(key)
         try:
             raw = path.read_text()
         except OSError:
             self.stats.add("misses")
-            return None
+            return None, None
         except UnicodeDecodeError:
             self.stats.add("corrupt", "misses")
             self._evict(path)
-            return None
+            return None, None
         try:
             blob = json.loads(raw)
             if blob["fingerprint"] != self.fingerprint:
                 self.stats.add("invalidations", "misses")
                 self._evict(path)
-                return None
+                return None, None
             result = blob["result"]
             if not isinstance(result, dict):
                 raise TypeError("result blob is not a dict")
         except (json.JSONDecodeError, KeyError, TypeError):
             self.stats.add("corrupt", "misses")
             self._evict(path)
-            return None
+            return None, None
         self.stats.add("hits")
         with _MEMORY_LOCK:
             _MEMORY[memory_key] = result
             while len(_MEMORY) > MEMORY_TIER_MAX:
                 _MEMORY.popitem(last=False)
-        return result
+        return result, "disk"
 
     def store(self, key: str, result: dict, job: SimJob | None = None) -> bool:
         """Atomically write one result blob (tempfile + rename).

@@ -130,15 +130,14 @@ def run_tile_shards(
     cache_hits = memo_hits = 0
     keys = list(tile_keys) if tile_keys is not None else [None] * n
     if cache is not None:
-        memory_before = cache.stats.memory_hits
         for i, key in enumerate(keys):
             if key is None:
                 continue
-            hit = cache.load(key)
+            hit, tier = cache.lookup(key)
             if hit is not None:
                 results[i] = hit
                 cache_hits += 1
-        memo_hits = cache.stats.memory_hits - memory_before
+                memo_hits += tier == "memory"
 
     cold = [i for i in range(n) if results[i] is None]
     if cache is not None:

@@ -18,7 +18,7 @@ state across requests:
 CLI: ``repro serve`` / ``repro request``; see ``docs/serving.md``.
 """
 
-from .admission import AdmissionController, AdmissionStats
+from .admission import AdmissionController
 from .batcher import JobBatcher
 from .client import (
     DeadlineExceeded,
@@ -32,7 +32,6 @@ from .server import LatencyWindow, ServerThread, SimulationService, serve_foreve
 
 __all__ = [
     "AdmissionController",
-    "AdmissionStats",
     "JobBatcher",
     "ServeClient",
     "ServeError",

@@ -14,37 +14,30 @@ in-flight request finishes — which is exactly the SIGTERM story.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 
-__all__ = ["AdmissionController", "AdmissionStats"]
+from ..telemetry.metrics import MetricFamily, event_children
 
-
-@dataclass
-class AdmissionStats:
-    """Lifetime counters for one controller."""
-
-    admitted: int = 0
-    shed: int = 0
-    rejected_draining: int = 0
-    completed: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "rejected_draining": self.rejected_draining,
-            "completed": self.completed,
-        }
+__all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Bounded concurrent-request budget with immediate shedding."""
+    """Bounded concurrent-request budget with immediate shedding.
 
-    def __init__(self, max_pending: int = 64) -> None:
+    Its lifetime counts (admitted, shed, rejected while draining,
+    released) are children of the owner's ``events`` family.
+    """
+
+    def __init__(
+        self, max_pending: int = 64, *, events: MetricFamily | None = None
+    ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.max_pending = max_pending
-        self.stats = AdmissionStats()
+        self._admitted, self._shed, self._rejected, self._released = (
+            event_children(
+                events, "admitted", "shed", "rejected_draining", "released"
+            )
+        )
         self._in_flight = 0
         self._draining = False
         self._idle: asyncio.Event | None = None
@@ -61,13 +54,13 @@ class AdmissionController:
     def try_acquire(self) -> bool:
         """Claim one slot; ``False`` sheds the request (429/503)."""
         if self._draining:
-            self.stats.rejected_draining += 1
+            self._rejected.inc()
             return False
         if self._in_flight >= self.max_pending:
-            self.stats.shed += 1
+            self._shed.inc()
             return False
         self._in_flight += 1
-        self.stats.admitted += 1
+        self._admitted.inc()
         if self._idle is not None:
             self._idle.clear()
         return True
@@ -77,7 +70,7 @@ class AdmissionController:
         if self._in_flight <= 0:
             raise RuntimeError("release() without a matching try_acquire()")
         self._in_flight -= 1
-        self.stats.completed += 1
+        self._released.inc()
         if self._in_flight == 0 and self._idle is not None:
             self._idle.set()
 
@@ -106,5 +99,8 @@ class AdmissionController:
             "max_pending": self.max_pending,
             "in_flight": self._in_flight,
             "draining": self._draining,
-            **self.stats.as_dict(),
+            "admitted": int(self._admitted.get()),
+            "shed": int(self._shed.get()),
+            "rejected_draining": int(self._rejected.get()),
+            "completed": int(self._released.get()),
         }

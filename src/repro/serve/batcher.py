@@ -27,6 +27,9 @@ The batch runs serially on a worker thread (``asyncio.to_thread``),
 keeping the event loop responsive for admission and shedding while
 simulations execute.  Process parallelism for serving is a fleet of
 replicas (``repro cluster --replicas N``), not a pool per batch.
+
+Batches, batched jobs and single-flight joins count into children of
+the owner's ``events`` family; ``snapshot`` reads them back.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from ..runtime.cache import ResultCache
 from ..runtime.jobs import SimJob, job_key
 from ..runtime.runner import JobOutcome, SweepReport, cached_outcome, run_jobs
 from ..telemetry import TRACER
+from ..telemetry.metrics import MetricFamily, event_children
 
 __all__ = ["JobBatcher"]
 
@@ -57,6 +61,7 @@ class JobBatcher:
         batch_window: float = 0.005,
         max_batch: int = 16,
         runner: AsyncRunner | None = None,
+        events: MetricFamily | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -69,9 +74,9 @@ class JobBatcher:
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: list[tuple[str, SimJob]] = []
         self._flush_task: asyncio.Task | None = None
-        self.batches_run = 0
-        self.jobs_run = 0
-        self.singleflight_joins = 0
+        self._batches, self._jobs, self._joins = event_children(
+            events, "batch", "batch_job", "singleflight_join"
+        )
 
     async def _default_runner(self, jobs: list[SimJob]) -> SweepReport:
         return await asyncio.to_thread(run_jobs, jobs, cache=self.cache)
@@ -97,8 +102,7 @@ class JobBatcher:
                 return outcome, False
         with TRACER.span("batcher", {"key": key[:12]}):
             if existing is not None:
-                self.singleflight_joins += 1
-                PERF.incr("serve.singleflight_join")
+                self._joins.inc()
                 outcome = await asyncio.shield(existing)
                 return outcome, True
 
@@ -153,16 +157,14 @@ class JobBatcher:
 
     async def _execute(self, batch: list[tuple[str, SimJob]]) -> None:
         jobs = [job for _, job in batch]
-        self.batches_run += 1
-        self.jobs_run += len(jobs)
-        PERF.incr("serve.batch")
-        PERF.incr("serve.batch_jobs", len(jobs))
+        self._batches.inc()
+        self._jobs.inc(len(jobs))
         if HUB.enabled:
             HUB.emit(
                 "batch.flush",
                 {
                     "jobs": len(jobs),
-                    "batches_run": self.batches_run,
+                    "batches_run": int(self._batches.get()),
                     "keys": [key[:12] for key, _ in batch],
                 },
             )
@@ -210,7 +212,7 @@ class JobBatcher:
             "max_batch": self.max_batch,
             "pending": len(self._pending),
             "inflight": len(self._inflight),
-            "batches_run": self.batches_run,
-            "jobs_run": self.jobs_run,
-            "singleflight_joins": self.singleflight_joins,
+            "batches_run": int(self._batches.get()),
+            "jobs_run": int(self._jobs.get()),
+            "singleflight_joins": int(self._joins.get()),
         }

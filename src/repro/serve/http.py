@@ -8,7 +8,8 @@ request, dispatches it and writes the reply on the same stream, and
 keeps the connection open for the next request only when the request
 asked for ``Connection: keep-alive``.  Any other request gets a
 ``Connection: close`` reply and an EOF.  Anything the parser does not
-understand raises :class:`HTTPError`, which the loop maps to a 400.
+understand raises :class:`HTTPError`, which the loop maps to a 400,
+unless the client's EOF cut the request off (no one is left to answer).
 
 The client side lives here too, shared by ``ServeClient`` (blocking
 sockets) and the router's peer hop (``cluster/wire.py``, asyncio):
@@ -28,10 +29,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 
+from ..telemetry.metrics import MetricFamily, event_children
+
 __all__ = [
     "ConnectionLoop",
     "HTTPError",
     "HTTPRequest",
+    "IncompleteRequest",
     "RawResponse",
     "ReplyError",
     "decode_reply_body",
@@ -66,6 +70,10 @@ STATUS_REASONS = {
 
 class HTTPError(ValueError):
     """A request the wire layer refuses to parse (maps to 400)."""
+
+
+class IncompleteRequest(HTTPError):
+    """A request its client cut off with an EOF: no one is left to answer."""
 
 
 class ReplyError(Exception):
@@ -119,6 +127,8 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
         return None
     if not raw_line:
         return None
+    if not raw_line.endswith(b"\n"):
+        raise IncompleteRequest("connection closed mid-request-line")
     parts = raw_line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise HTTPError(f"malformed request line: {raw_line!r}")
@@ -132,8 +142,8 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
         raw = await _readline(reader)
         if raw in (b"\r\n", b"\n"):
             break
-        if not raw:
-            raise HTTPError("connection closed mid-headers")
+        if not raw.endswith(b"\n"):
+            raise IncompleteRequest("connection closed mid-headers")
         header_bytes += len(raw)
         if header_bytes > MAX_HEADER_BYTES:
             raise HTTPError("headers exceed the size limit")
@@ -154,7 +164,7 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
-            raise HTTPError("connection closed mid-body") from None
+            raise IncompleteRequest("connection closed mid-body") from None
     return HTTPRequest(method.upper(), path, headers, body)
 
 
@@ -300,9 +310,9 @@ class ConnectionLoop:
     ``observe replay`` server.
 
     ``dispatch`` maps a request to ``(status, payload[, headers])``;
-    ``counters`` is the owner's counter dict (``bad_requests`` counts
-    400s for bad framing, ``errors`` handler exceptions); ``websocket``,
-    when given, takes over the streams of a ``GET /observe`` upgrade.
+    ``events`` is the owner's event family (``bad_request`` counts 400s
+    for bad framing, ``error`` handler exceptions); ``websocket``, when
+    given, takes over the streams of a ``GET /observe`` upgrade.
 
     A connection that asked for keep-alive waits for its next request
     after each reply.  :meth:`begin_drain` closes the connections that
@@ -314,12 +324,14 @@ class ConnectionLoop:
     def __init__(
         self,
         dispatch: Callable[[HTTPRequest], Awaitable[tuple]],
-        counters: dict,
+        events: MetricFamily | None = None,
         *,
         websocket: Callable[..., Awaitable[None]] | None = None,
     ) -> None:
         self._dispatch = dispatch
-        self._counters = counters
+        self._bad_request, self._error = event_children(
+            events, "bad_request", "error"
+        )
         self._websocket = websocket
         #: Kept-alive connections waiting for their next request, each
         #: with the loop it runs on (drain may start on another thread).
@@ -364,10 +376,12 @@ class ConnectionLoop:
         """Read, dispatch and answer one request; ``True`` to keep going."""
         try:
             request = await read_request(reader)
+        except IncompleteRequest:
+            return False
         except HTTPError as exc:
             if writer.is_closing():  # drain closed it mid-request
                 return False
-            self._counters["bad_requests"] += 1
+            self._bad_request.inc()
             writer.write(render_response(400, {"error": str(exc)}))
             await writer.drain()
             return False
@@ -387,7 +401,7 @@ class ConnectionLoop:
             reply = await self._dispatch(request)
         except Exception as exc:  # noqa: BLE001 — a handler bug must
             # not kill the connection loop silently
-            self._counters["errors"] += 1
+            self._error.inc()
             reply = 500, {"error": f"{type(exc).__name__}: {exc}"}
         keep_alive = not self.draining and _wants_keep_alive(request)
         writer.write(render_reply(reply, keep_alive=keep_alive))

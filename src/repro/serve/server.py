@@ -26,6 +26,9 @@ Lifecycle: SIGTERM/SIGINT stop the listener, close idle kept-alive
 connections, finish in-flight work (bounded by ``drain_timeout``, each
 reply sent with ``Connection: close``), then exit 0.
 
+Each service counts into its own ``MetricsRegistry``, which ``/stats``
+reads and ``/metrics`` renders after the process-global one.
+
 When run as a cluster replica (``repro serve --replica-id N``) the
 service reports its identity in ``/healthz``/``/stats`` and as a
 ``repro_replica_info{replica="N"}`` gauge so the router's aggregated
@@ -35,6 +38,7 @@ telemetry can attribute every series to a shard.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import signal
 import threading
 import time
@@ -44,10 +48,10 @@ from urllib.parse import parse_qs
 from ..dse.service import DSEManager
 from ..observe.events import HUB
 from ..observe.service import ui_asset
-from ..perf import PERF
 from ..runtime.cache import ResultCache
 from ..runtime.jobs import SimJob
 from ..telemetry import METRICS, TRACER
+from ..telemetry.metrics import MetricsRegistry, event_children
 from ..telemetry.trace import valid_trace_id
 from .admission import AdmissionController
 from .batcher import JobBatcher
@@ -64,6 +68,8 @@ DEADLINE_HEADER = "x-repro-deadline"
 #: (hex, ≤32 chars) to adopt; the server always echoes the request's
 #: trace id back so the client can fetch its tree from ``/trace``.
 TRACE_HEADER = "x-repro-trace-id"
+#: The statuses ``/simulate`` answers with, resolved when a service is built.
+SIMULATE_STATUSES = (200, 400, 429, 500, 503, 504)
 
 
 def _nearest_rank(ordered: list[float], q: float) -> float | None:
@@ -113,7 +119,7 @@ class LatencyWindow:
 
 
 class SimulationService:
-    """Routes, counters, and lifecycle for one service instance."""
+    """Routes, metrics, and lifecycle for one service instance."""
 
     def __init__(
         self,
@@ -146,45 +152,55 @@ class SimulationService:
             max_active=max_dse_searches,
             replica_id=replica_id or "0",
         )
-        # Aggregated per-tile reuse across every request this instance
-        # served — the service-level view of incremental re-simulation.
-        self.tile_counters = {"tiles_reused": 0, "tiles_recomputed": 0}
         self.request_timeout = request_timeout
         self.replica_id = replica_id
         self.retry_after_hint = retry_after_hint
-        self.admission = AdmissionController(queue_depth)
+        self.metrics = MetricsRegistry()
+        self.events = self.metrics.counter(
+            "repro_serve_events_total",
+            help="Service events a response status does not decide",
+            labelnames=("event",),
+        )
+        self._requests_total = self.metrics.counter(
+            "repro_requests_total",
+            help="Simulation requests by response status",
+            labelnames=("status",),
+        )
+        self._by_status = {
+            status: self._requests_total.labels(status=status)
+            for status in SIMULATE_STATUSES
+        }
+        self._request_seconds = self.metrics.histogram(
+            "repro_request_seconds",
+            help="End-to-end /simulate latency as observed by the server",
+        )
+        # The connection loop counts bad framing and handler errors into
+        # the same children; /simulate's 400s and 500s count by status.
+        self._bad_request, self._error, self._reused, self._recomputed = (
+            event_children(
+                self.events, "bad_request", "error", "tile_reused",
+                "tile_recomputed",
+            )
+        )
+        if replica_id is not None:
+            self.metrics.gauge(
+                "repro_replica_info",
+                help="Identity of this process as a cluster replica",
+                labelnames=("replica",),
+            ).labels(replica=replica_id).set(1)
+        self.admission = AdmissionController(queue_depth, events=self.events)
         self.batcher = JobBatcher(
             cache=cache,
             batch_window=batch_window,
             max_batch=max_batch,
             runner=runner,
+            events=self.events,
         )
         self.latency = LatencyWindow()
-        self.counters = {
-            "requests": 0,
-            "completed": 0,
-            "errors": 0,
-            "timeouts": 0,
-            "bad_requests": 0,
-        }
-        self._requests_total = METRICS.counter(
-            "repro_requests_total",
-            help="Simulation requests by response status",
-            labelnames=("status",),
-        )
-        self._request_seconds = METRICS.histogram(
-            "repro_request_seconds",
-            help="End-to-end /simulate latency as observed by the server",
-        )
-        if replica_id is not None:
-            METRICS.gauge(
-                "repro_replica_info",
-                help="Identity of this process as a cluster replica",
-                labelnames=("replica",),
-            ).labels(replica=replica_id).set(1)
+        self._request_ids = itertools.count(1)
         self.http = ConnectionLoop(
             self.dispatch,
-            self.counters,
+            self.events,
             websocket=observe.broadcaster.handle_client if observe else None,
         )
         self._started = time.monotonic()
@@ -211,7 +227,7 @@ class SimulationService:
         if path == "/metrics":
             if request.method != "GET":
                 return 405, {"error": "metrics is GET-only"}
-            return 200, METRICS.render_prometheus()
+            return 200, METRICS.render_prometheus() + self.metrics.render_prometheus()
         if path == "/trace":
             if request.method != "GET":
                 return 405, {"error": "trace is GET-only"}
@@ -284,12 +300,23 @@ class SimulationService:
             return 404, {"error": "result not cached", "key": key}
         return 200, {"key": key, "cached": True, "result": result}
 
+    def request_counts(self) -> dict[str, int]:
+        """The ``requests`` section of ``/stats``, read from the children."""
+        status = {code: int(c.get()) for code, c in self._by_status.items()}
+        return {
+            "requests": int(self._requests_total.total()),
+            "completed": status[200],
+            "errors": status[500] + int(self._error.get()),
+            "timeouts": status[504],
+            "bad_requests": status[400] + int(self._bad_request.get()),
+        }
+
     def stats(self) -> dict:
         return {
             "status": "draining" if self.admission.draining else "ok",
             "replica_id": self.replica_id,
             "uptime_seconds": time.monotonic() - self._started,
-            "requests": dict(self.counters),
+            "requests": self.request_counts(),
             "admission": self.admission.snapshot(),
             "batcher": self.batcher.snapshot(),
             "cache": self.cache.stats.as_dict() if self.cache is not None else None,
@@ -309,9 +336,12 @@ class SimulationService:
         response's exec meta) with the tile cache's own hit/miss and
         on-disk footprint, when one is configured.
         """
-        if self.tile_cache is None and not any(self.tile_counters.values()):
+        payload: dict = {
+            "tiles_reused": int(self._reused.get()),
+            "tiles_recomputed": int(self._recomputed.get()),
+        }
+        if self.tile_cache is None and not any(payload.values()):
             return None
-        payload: dict = dict(self.tile_counters)
         if self.tile_cache is not None:
             payload["stats"] = self.tile_cache.stats.as_dict()
             disk = self.tile_cache.disk_stats()
@@ -329,15 +359,15 @@ class SimulationService:
         try:
             body = request.json()
         except HTTPError as exc:
-            self.counters["bad_requests"] += 1
+            self._bad_request.inc()
             return 400, {"error": str(exc)}
         try:
             accepted = self.dse.start(body)
         except ValueError as exc:
-            self.counters["bad_requests"] += 1
+            self._bad_request.inc()
             return 400, {"error": str(exc)}
         except (KeyError, TypeError) as exc:
-            self.counters["bad_requests"] += 1
+            self._bad_request.inc()
             return 400, {"error": f"bad search spec: {exc}"}
         except RuntimeError as exc:
             return 429, {"error": str(exc)}, {
@@ -388,7 +418,7 @@ class SimulationService:
         ) as span:
             # The request id correlates the lifecycle events of one
             # request; the trace id doubles as it when tracing is on.
-            rid = span.trace_id or f"r{self.counters['requests'] + 1}"
+            rid = span.trace_id or f"r{next(self._request_ids)}"
             if HUB.enabled:
                 HUB.emit(
                     "request.received",
@@ -397,7 +427,10 @@ class SimulationService:
             reply = await self._simulate_admitted(request, rid)
             status, payload = reply[0], reply[1]
             span.set(status=status)
-        self._requests_total.labels(status=str(status)).inc()
+        (
+            self._by_status.get(status)
+            or self._requests_total.labels(status=status)
+        ).inc()
         self._request_seconds.observe(time.perf_counter() - start)
         if span.trace_id is not None:
             payload.setdefault("trace_id", span.trace_id)
@@ -407,13 +440,10 @@ class SimulationService:
         return reply
 
     async def _simulate_admitted(self, request: HTTPRequest, rid: str) -> tuple:
-        self.counters["requests"] += 1
-        PERF.incr("serve.request")
         with TRACER.span("admission") as adm:
             admitted = self.admission.try_acquire()
             adm.set(admitted=admitted, in_flight=self.admission.in_flight)
         if not admitted:
-            PERF.incr("serve.shed")
             status = 503 if self.admission.draining else 429
             if HUB.enabled:
                 HUB.emit(
@@ -443,7 +473,6 @@ class SimulationService:
                 body = request.json()
                 job = parse_simulation_request(body)
             except (HTTPError, ProtocolError) as exc:
-                self.counters["bad_requests"] += 1
                 if HUB.enabled:
                     HUB.emit(
                         "request.rejected",
@@ -479,8 +508,6 @@ class SimulationService:
                     asyncio.shield(self.batcher.submit(job)), timeout
                 )
         except asyncio.TimeoutError:
-            self.counters["timeouts"] += 1
-            PERF.incr("serve.timeout")
             if HUB.enabled:
                 HUB.emit(
                     "request.timeout",
@@ -493,15 +520,12 @@ class SimulationService:
         latency = time.perf_counter() - start
         self.latency.add(latency)
         if not outcome.ok:
-            self.counters["errors"] += 1
-            PERF.incr("serve.error")
             if HUB.enabled:
                 HUB.emit(
                     "request.error",
                     {"rid": rid, "error": outcome.error, "key": outcome.key},
                 )
             return 500, {"error": outcome.error, "key": outcome.key}
-        self.counters["completed"] += 1
         if HUB.enabled:
             HUB.emit(
                 "request.completed",
@@ -514,14 +538,9 @@ class SimulationService:
                     "key": outcome.key,
                 },
             )
-        PERF.incr("serve.cache_hit" if outcome.cached else "serve.cache_miss")
         if outcome.exec_meta is not None:
-            self.tile_counters["tiles_reused"] += outcome.exec_meta.get(
-                "tiles_reused", 0
-            )
-            self.tile_counters["tiles_recomputed"] += outcome.exec_meta.get(
-                "tiles_recomputed", 0
-            )
+            self._reused.inc(outcome.exec_meta.get("tiles_reused", 0))
+            self._recomputed.inc(outcome.exec_meta.get("tiles_recomputed", 0))
         return 200, encode_outcome(outcome, joined=joined, latency_seconds=latency)
 
     # -- lifecycle ------------------------------------------------------

@@ -4,14 +4,12 @@ A :class:`MetricsRegistry` holds named metric *families*; a family with
 label names fans out into one child series per label-value tuple (the
 Prometheus data model, minus the pull protocol).  Everything is
 thread-safe: serve's executor threads, the event loop, and process-pool
-collection all report into one process-global :data:`METRICS`.
+collection may report into one registry at once.
 
-Two families carry the program's instrumentation: every
-:meth:`repro.telemetry.trace.Tracer.span` observes its wall time into
-``repro_stage_seconds`` (labelled by span name), and ``PERF.incr``
-counts into ``repro_events_total``.  :class:`repro.perf.instrumentation.
-PerfRegistry` is a view over both, so stages, counters and ``/metrics``
-read one store.
+Process-wide work goes to :data:`METRICS`: every span observes its wall
+time into ``repro_stage_seconds``, and ``PERF.incr`` counts into
+``repro_events_total`` (``PerfRegistry`` is a view over both).  Each
+serve or router instance counts its requests into a registry of its own.
 
 Histogram quantiles are *bucket-resolution estimates*: ``quantile(q)``
 returns the upper bound of the bucket containing the q-th sample, which
@@ -33,6 +31,7 @@ __all__ = [
     "MetricsRegistry",
     "METRICS",
     "DEFAULT_BUCKETS",
+    "event_children",
 ]
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
@@ -220,6 +219,10 @@ class MetricFamily:
         with self._lock:
             return dict(self._children)
 
+    def total(self) -> float:
+        """The sum of every child's value (counter and gauge families)."""
+        return sum(child.get() for child in self.series().values())
+
     def clear(self) -> None:
         """Drop every child series (and re-seed the unlabelled one)."""
         with self._lock:
@@ -345,5 +348,13 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-#: The process-global registry ``/metrics`` renders and ``PERF`` feeds.
+def event_children(events: MetricFamily | None, *names: str) -> list[Counter]:
+    """One child of an ``event``-labelled counter family per name,
+    resolved once; ``None`` counts into a private family."""
+    if events is None:
+        events = MetricsRegistry().counter("events", labelnames=("event",))
+    return [events.labels(event=name) for name in names]
+
+
+#: The process-global registry ``PERF`` feeds and every ``/metrics`` renders.
 METRICS = MetricsRegistry()

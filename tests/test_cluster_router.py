@@ -109,8 +109,8 @@ class TestRouting:
             third = client.simulate(SMALL)
             assert third["tier"] == "memory"  # filled by that disk hit
             assert third["result"] == second["result"]
-            assert fleet.router.counters["proxied"] == 1
-            assert fleet.router.counters["tier_served"] == 2
+            assert fleet.router.request_counts()["proxied"] == 1
+            assert fleet.router.request_counts()["tier_served"] == 2
 
     def test_distinct_jobs_reach_both_replicas(self):
         with Fleet(2) as fleet:
@@ -173,8 +173,8 @@ class TestFailover:
             payload = client.simulate(body)
             client.close()
             assert payload["replica"] == "0"
-            assert router.counters["proxy_failovers"] == 1
-            assert router.counters["errors"] == 0
+            assert router.request_counts()["proxy_failovers"] == 1
+            assert router.request_counts()["errors"] == 0
         peer.join()
 
     def test_dead_replica_fails_over(self):
@@ -188,7 +188,7 @@ class TestFailover:
             # candidate answers (its own cache is cold, so it computes).
             again = client.simulate({**SMALL, "seed": 3})
             assert int(again["replica"]) == 1 - owner
-            assert fleet.router.counters["proxy_failovers"] >= 1
+            assert fleet.router.request_counts()["proxy_failovers"] >= 1
 
     def test_all_dead_is_503_with_attempts(self):
         with Fleet(1) as fleet:
@@ -196,7 +196,7 @@ class TestFailover:
             client = fleet.client(retries=0)
             with pytest.raises(ServiceUnavailable):
                 client.simulate(SMALL)
-            assert fleet.router.counters["no_replica"] == 1
+            assert fleet.router.request_counts()["no_replica"] == 1
 
 
 class TestShedding:
@@ -221,7 +221,7 @@ class TestShedding:
                 assert status == 429
                 assert "saturated" in payload["error"]
                 assert float(headers["Retry-After"]) > 0
-                assert router.counters["shed"] == 1
+                assert router.request_counts()["shed"] == 1
             finally:
                 release.set()
                 blocker.join(timeout=30.0)
@@ -278,7 +278,8 @@ class TestShards:
             status, _, hit = fleet.raw("GET", f"/result/{self.KEY}")
             assert status == 200
             assert (hit["result"], hit["tier"]) == ({"v": 1}, "memory")
-        assert router.tier_hits == {"memory": 1, "disk": 0}
+        assert router.request_counts()["tier_served"] == 0  # /result only
+        assert router.tiers()["tier_hits"] == {"memory": 1, "disk": 0}
 
     def test_add_shard(self, tmp_path):
         ResultCache(tmp_path).store(self.KEY, {"v": 5})

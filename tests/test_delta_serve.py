@@ -116,7 +116,7 @@ class TestServiceStats:
 
     def test_counters_alone_surface_without_tile_cache(self):
         service = SimulationService()
-        service.tile_counters["tiles_reused"] += 4
+        service.events.labels(event="tile_reused").inc(4)
         section = service.stats()["tile_cache"]
         assert section == {"tiles_reused": 4, "tiles_recomputed": 0}
 

@@ -4,6 +4,8 @@ machinery (tile memory tier, partition-signature keys) behaves as
 documented.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.graphs.delta import apply_delta
 from repro.graphs.tiling import tile_graph
 from repro.models.workload import LayerDims
 from repro.models.zoo import get_model
+from repro.perf import PERF
 from repro.perf.bench import clear_hot_path_caches
 from repro.runtime.cache import ResultCache, clear_memory_tier
 from repro.runtime.jobs import ENV_TILE_CACHE_DIR, SimJob, execute_job
@@ -186,4 +189,42 @@ class TestTileMemoTier:
         assert fourth.stats["memo_hits"] == 0  # disk still authoritative
         assert first.payloads == second.payloads == third.payloads
         assert third.payloads == fourth.payloads
+
+    def test_memo_hits_are_each_calls_own_on_a_shared_cache(self, tmp_path):
+        """Two threads read one cache: each call's ``memo_hits`` (and its
+        ``tiles.memo_hit`` count) is its own memory-tier hits, though the
+        other thread's hits move the shared ``stats`` meanwhile."""
+        clear_memory_tier()
+        b_done = threading.Event()
+
+        class GatedCache(ResultCache):
+            """Holds thread A's first lookup until thread B is done."""
+
+            def lookup(self, key):
+                if threading.current_thread().name == "a":
+                    b_done.wait(30.0)
+                return super().lookup(key)
+
+        cache = GatedCache(tmp_path)
+        keys = {name: [f"{name}{i}" for i in range(4)] for name in "ab"}
+        for key in keys["a"] + keys["b"]:
+            cache.store(key, {"k": key})
+            cache.load(key)  # the disk hit fills the memory tier
+        runs = {}
+
+        def run(name):
+            runs[name] = self._run(cache, keys[name], n=4)
+            if name == "b":
+                b_done.set()
+
+        before = PERF.counters.get("tiles.memo_hit", 0)
+        threads = [threading.Thread(target=run, args=(n,), name=n) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        assert runs["a"].stats["memo_hits"] == 4
+        assert runs["b"].stats["memo_hits"] == 4
+        assert PERF.counters.get("tiles.memo_hit", 0) - before == 8
+        assert cache.stats.memory_hits == 8
 

@@ -175,7 +175,7 @@ class TestRelays:
         assert all(e["data"]["replica"] == "0" for e in events)
         seqs = [e["seq"] for e in events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        assert router.relay_events >= len(events)
+        assert router.events.labels(event="relay").get() >= len(events)
 
     def test_router_stats_and_dashboard(self):
         router = ClusterRouter(observe=router_observe_state())

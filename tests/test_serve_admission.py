@@ -13,8 +13,8 @@ class TestBudget:
         assert ctl.try_acquire()
         assert ctl.try_acquire()
         assert not ctl.try_acquire()  # full → shed
-        assert ctl.stats.admitted == 2
-        assert ctl.stats.shed == 1
+        assert ctl.snapshot()["admitted"] == 2
+        assert ctl.snapshot()["shed"] == 1
         assert ctl.in_flight == 2
 
     def test_release_frees_a_slot(self):
@@ -23,7 +23,7 @@ class TestBudget:
         assert not ctl.try_acquire()
         ctl.release()
         assert ctl.try_acquire()
-        assert ctl.stats.completed == 1
+        assert ctl.snapshot()["completed"] == 1
 
     def test_unmatched_release_raises(self):
         with pytest.raises(RuntimeError):
@@ -39,8 +39,8 @@ class TestDrain:
         ctl = AdmissionController(max_pending=4)
         ctl.begin_drain()
         assert not ctl.try_acquire()
-        assert ctl.stats.rejected_draining == 1
-        assert ctl.stats.shed == 0  # distinct counter from load shedding
+        assert ctl.snapshot()["rejected_draining"] == 1
+        assert ctl.snapshot()["shed"] == 0  # distinct counter from load shedding
 
     def test_wait_drained_immediate_when_idle(self):
         ctl = AdmissionController()

@@ -9,6 +9,7 @@ from repro.perf import PERF
 from repro.runtime import ResultCache, SimJob, job_key, run_jobs
 from repro.runtime.runner import JobOutcome, SweepMetrics, SweepReport
 from repro.serve.batcher import JobBatcher
+from repro.telemetry import MetricsRegistry
 
 SMALL = dict(scale=0.1, hidden=8, num_layers=1)
 
@@ -82,7 +83,7 @@ class TestSingleFlight:
             return batcher
 
         batcher = asyncio.run(run())
-        assert batcher.singleflight_joins == 1
+        assert batcher.snapshot()["singleflight_joins"] == 1
 
 
 class TestBatching:
@@ -132,16 +133,26 @@ class TestBatching:
         assert asyncio.run(run()).cached is True
 
 
+#: The event family the cache-probe tests' batchers count into.
+EVENTS = MetricsRegistry().counter("repro_serve_events_total", labelnames=("event",))
+
+
 def counter_deltas(names, action):
-    """Run ``action`` and return how much each PERF counter moved."""
-    before = {name: PERF.counters.get(name, 0) for name in names}
+    """Run ``action`` and return how much each counter moved: the PERF
+    events in ``names``, and ``batch`` from :data:`EVENTS`."""
+
+    def read():
+        counts = {name: PERF.counters.get(name, 0) for name in names}
+        counts["batch"] = EVENTS.labels(event="batch").get()
+        return counts
+
+    before = read()
     result = action()
-    return result, {
-        name: PERF.counters.get(name, 0) - before[name] for name in names
-    }
+    after = read()
+    return result, {name: after[name] - before[name] for name in after}
 
 
-COUNTERS = ("runtime.cache_hit", "runtime.cache_miss", "serve.batch")
+COUNTERS = ("runtime.cache_hit", "runtime.cache_miss")
 
 
 class TestCacheProbe:
@@ -155,7 +166,8 @@ class TestCacheProbe:
 
         async def run():
             batcher = JobBatcher(
-                cache=cache, runner=make_runner(calls), batch_window=5.0
+                cache=cache, runner=make_runner(calls), batch_window=5.0,
+                events=EVENTS,
             )
             start = time.perf_counter()
             outcome, joined = await batcher.submit(job)
@@ -168,10 +180,11 @@ class TestCacheProbe:
         assert outcome.ok and outcome.cached and not joined
         assert outcome.key == job_key(job)
         assert calls == []  # the runner never saw the hit
-        assert batcher.batches_run == 0 and batcher.jobs_run == 0
+        snapshot = batcher.snapshot()
+        assert snapshot["batches_run"] == 0 and snapshot["jobs_run"] == 0
         assert cache.stats.hits == 1 and cache.stats.misses == 0
         assert moved == {
-            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "serve.batch": 0
+            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "batch": 0
         }
 
     def test_cold_then_warm_counts_each_request_once(self, tmp_path):
@@ -182,7 +195,7 @@ class TestCacheProbe:
             outcome, _ = await batcher.submit(job)
             return outcome
 
-        batcher = JobBatcher(cache=cache, batch_window=0.0)
+        batcher = JobBatcher(cache=cache, batch_window=0.0, events=EVENTS)
         cold, moved_cold = counter_deltas(
             COUNTERS, lambda: asyncio.run(submit(batcher))
         )
@@ -191,9 +204,9 @@ class TestCacheProbe:
             0, 1, 1
         )
         assert moved_cold == {
-            "runtime.cache_hit": 0, "runtime.cache_miss": 1, "serve.batch": 1
+            "runtime.cache_hit": 0, "runtime.cache_miss": 1, "batch": 1
         }
-        assert batcher.batches_run == 1
+        assert batcher.snapshot()["batches_run"] == 1
 
         warm, moved_warm = counter_deltas(
             COUNTERS, lambda: asyncio.run(submit(batcher))
@@ -202,9 +215,9 @@ class TestCacheProbe:
         assert warm.result.to_dict() == cold.result.to_dict()
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
         assert moved_warm == {
-            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "serve.batch": 0
+            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "batch": 0
         }
-        assert batcher.batches_run == 1  # the hit ran no batch
+        assert batcher.snapshot()["batches_run"] == 1  # the hit ran no batch
 
     def _submit_once(self, cache, job):
         async def run():
@@ -224,10 +237,10 @@ class TestCacheProbe:
         # The probe's evicting load and the batch's re-probe are one
         # request: one miss, not two.
         assert cache.stats.misses == 1
-        assert batcher.batches_run == 1  # recomputed through the batch
+        assert batcher.snapshot()["batches_run"] == 1  # recomputed through the batch
         assert cache.stats.stores == 1  # ...and stored afresh
         warm, batcher = self._submit_once(cache, job)
-        assert warm.cached and batcher.batches_run == 0
+        assert warm.cached and batcher.snapshot()["batches_run"] == 0
 
     def test_corrupt_blob_is_evicted_and_recomputed(self, tmp_path):
         job = SimJob(**SMALL)
@@ -239,10 +252,10 @@ class TestCacheProbe:
         assert outcome.ok and not outcome.cached
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1
-        assert batcher.batches_run == 1
+        assert batcher.snapshot()["batches_run"] == 1
         assert cache.stats.stores == 1
         warm, batcher = self._submit_once(cache, job)
-        assert warm.cached and batcher.batches_run == 0
+        assert warm.cached and batcher.snapshot()["batches_run"] == 0
 
     def test_run_jobs_counts_a_corrupt_blob_once(self, tmp_path):
         """Without the batcher's probe, run_jobs' own load is the miss."""

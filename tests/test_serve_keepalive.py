@@ -224,6 +224,7 @@ class TestKeepAlive:
 
 
 VANISHING = {
+    "half-line": b"POST /simul",
     "half-head": b"POST /simulate HTTP/1.1\r\nConnection: keep-al",
     "head-and-part-body": (
         b"POST /simulate HTTP/1.1\r\nConnection: keep-alive\r\n"
@@ -237,8 +238,9 @@ VANISHING = {
 @pytest.mark.parametrize("partial", VANISHING.values(), ids=VANISHING.keys())
 def test_kept_alive_client_vanishing_mid_request(kind, partial, monkeypatch):
     """A kept-alive client that closes after part of a request leaves
-    the server whole: it keeps answering, counts no handler error, and
-    still drains at once with no task left pending."""
+    the server whole: it keeps answering, counts neither a handler error
+    nor a bad request, and still drains at once with no task left
+    pending."""
     pending = {}
     unwind = server_module.unwind_tasks
 
@@ -248,12 +250,12 @@ def test_kept_alive_client_vanishing_mid_request(kind, partial, monkeypatch):
 
     monkeypatch.setattr(server_module, "unwind_tasks", recording_unwind)
     with front_end(kind, drain_timeout=2.0) as (front, accepted):
-        counters = front.service.counters
+        counts = front.service.request_counts
         with connect(front.address) as sock:
             sock.sendall(HEALTHZ_KEEP_ALIVE)
             head, _, _ = read_response(sock)
             assert b"Connection: keep-alive" in head
-            errors = counters["errors"]
+            before = counts()
             sock.sendall(partial)
         deadline = time.monotonic() + 10.0
         while accepted.finished < 1 and time.monotonic() < deadline:
@@ -262,7 +264,8 @@ def test_kept_alive_client_vanishing_mid_request(kind, partial, monkeypatch):
         with connect(front.address) as sock:
             sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
             assert read_to_eof(sock).startswith(b"HTTP/1.1 200 ")
-        assert counters["errors"] == errors
+        assert counts()["errors"] == before["errors"]
+        assert counts()["bad_requests"] == before["bad_requests"]
         start = time.monotonic()
         exit_code = front.stop(timeout=10.0)
         elapsed = time.monotonic() - start

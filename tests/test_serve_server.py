@@ -68,7 +68,7 @@ class TestSingleFlight:
         assert all(p["result"]["accelerator"] == "aurora" for p in payloads)
         # The second request completed via the in-flight join.
         assert sorted(p["joined"] for p in payloads) == [False, True]
-        assert service.batcher.singleflight_joins == 1
+        assert service.batcher.snapshot()["singleflight_joins"] == 1
 
     def test_warm_request_served_from_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -88,7 +88,7 @@ class TestSingleFlight:
         # Only the cold request reached run_jobs; the warm one was
         # answered from the cache before the batch window.
         assert sum(len(b) for b in calls) == 1
-        assert service.batcher.batches_run == 1
+        assert service.batcher.snapshot()["batches_run"] == 1
         assert cache.stats.hits == 1
 
 
@@ -96,23 +96,29 @@ class TestCacheHitPath:
     """Warm requests are answered before the batch window."""
 
     def test_each_request_counted_once(self, tmp_path):
-        names = ("runtime.cache_hit", "runtime.cache_miss", "serve.batch")
+        names = ("runtime.cache_hit", "runtime.cache_miss", "batch")
         cache = ResultCache(tmp_path)
         service = SimulationService(cache=cache, batch_window=0.005)
+
+        def counts():
+            out = {n: PERF.counters.get(n, 0) for n in names[:2]}
+            out["batch"] = service.batcher.snapshot()["batches_run"]
+            return out
+
         with ServerThread(service) as thread:
             client = ServeClient(*thread.address, timeout=60.0)
-            before = {n: PERF.counters.get(n, 0) for n in names}
+            before = counts()
             cold = client.simulate(SMALL)
-            after_cold = {n: PERF.counters.get(n, 0) for n in names}
+            after_cold = counts()
             warm = client.simulate(SMALL)
-            after_warm = {n: PERF.counters.get(n, 0) for n in names}
+            after_warm = counts()
             batcher = client.stats()["batcher"]
         assert cold["cached"] is False and warm["cached"] is True
         assert {n: after_cold[n] - before[n] for n in names} == {
-            "runtime.cache_hit": 0, "runtime.cache_miss": 1, "serve.batch": 1
+            "runtime.cache_hit": 0, "runtime.cache_miss": 1, "batch": 1
         }
         assert {n: after_warm[n] - after_cold[n] for n in names} == {
-            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "serve.batch": 0
+            "runtime.cache_hit": 1, "runtime.cache_miss": 0, "batch": 0
         }
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
         assert batcher["batches_run"] == 1 and batcher["jobs_run"] == 1
@@ -208,7 +214,7 @@ class TestTimeouts:
             with pytest.raises(RequestFailed) as excinfo:
                 client.simulate(SMALL)
         assert excinfo.value.status == 504
-        assert service.counters["timeouts"] == 1
+        assert service.request_counts()["timeouts"] == 1
 
     @staticmethod
     def _timed_out_service(cache, calls):
@@ -241,7 +247,7 @@ class TestTimeouts:
         assert payload["cached"] is True
         assert payload["key"] == excinfo.value.payload["key"]
         assert len(calls) == 1
-        assert service.counters["timeouts"] == 1
+        assert service.request_counts()["timeouts"] == 1
 
     def test_stop_waits_for_timed_out_execution(self, tmp_path):
         calls = []
@@ -295,7 +301,7 @@ class TestEndpoints:
         status, payload = client.call("POST", "/simulate", {"bogus": 1})
         assert status == 400
         assert "bogus" in payload["error"]
-        assert service.counters["bad_requests"] == 1
+        assert service.request_counts()["bad_requests"] == 1
 
 
 def raw_request(address, method, path, body=None):
